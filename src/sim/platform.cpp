@@ -1,6 +1,7 @@
 #include "sim/platform.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <sstream>
@@ -32,6 +33,14 @@ void stable_sort_by_bank(Item* items, std::size_t count, BankOf bank_of) {
     }
     items[j] = item;
   }
+}
+
+/// Calls `f(index)` for every set bit of `mask`, lowest first — ascending
+/// core order when the bits are cores.
+template <typename F>
+void for_each_bit(std::uint64_t mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1)
+    f(static_cast<unsigned>(std::countr_zero(mask)));
 }
 
 /// Distinct-value counter clamped at 8 — the lockstep histogram's width —
@@ -102,6 +111,8 @@ Platform::Platform(const PlatformConfig& config)
   touched_cores_.reserve(config.num_cores);
   active_cores_.reserve(config.num_cores);
   bank_runs_.reserve(config.num_cores);
+  bank_fetchers_.assign(config.im_banks, 0);
+  bank_occupied_.assign((config.im_banks + 63) / 64, 0);
   reset();
 }
 
@@ -143,6 +154,7 @@ void Platform::reset(bool clear_dm) {
   active_this_cycle_.fill(0);
   touched_cores_.clear();
   sleep_pending_from_.fill(0);
+  pc_refs_.assign(im_.end() - im_.begin(), 0);  // sized to the program
   rebuild_schedule_state();
   if (clear_dm) dm_.clear();
 }
@@ -1032,43 +1044,36 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
   // served the same cycle when conflict-free), the rest count their
   // bubbles/ramps down, sleepers sleep.
   //
-  // Instead of re-scanning and re-sorting all cores every cycle, the fetch
-  // candidates live in a (bank, core)-sorted list maintained incrementally:
-  // winners leave for the idle list when their bubble starts, idle cores
-  // re-enter when it expires (effective the next cycle, like the naive
-  // collection order), and a PC whose slot is not region-safe "poisons"
-  // the region with a deadline — the cycle at which that core would fetch
-  // again — so every executed cycle is known safe in advance and a bail
-  // never leaves half-applied state.
+  // All per-cycle bookkeeping is bitsets (one bit per core): the fetch
+  // candidates are filed under their IM bank in `bank_fetchers_`, whose
+  // occupancy bitmap is walked in ascending bank order — the (bank, core)
+  // arbitration order of the naive fetch phase. Served cores leave their
+  // bank's mask at once and are re-filed under their next PC only after
+  // the walk (a core re-filed into a later bank would otherwise fetch twice
+  // in one cycle); idle cores whose countdown expires are filed at the end
+  // of the cycle, so they fetch from the next one, as in the naive
+  // collection order. A PC whose slot is not region-safe "poisons" the
+  // region with a deadline — the cycle at which that core would fetch it —
+  // so every executed cycle is known safe in advance, a bail never leaves
+  // half-applied state, and a poisoned core is never filed.
   const unsigned cpi_pad = config_.base_cpi - 1;
-  const unsigned num_cores = config_.num_cores;
   const bool observing = lockstep_sink_ != nullptr;
+  const std::uint32_t im_begin = im_.begin();
 
-  std::array<std::uint8_t, EventCounters::kMaxCores> fetch_list;  // sorted
-  std::array<std::uint8_t, EventCounters::kMaxCores> idle_list;
-  std::array<std::uint8_t, EventCounters::kMaxCores> expired;
-  std::array<std::uint8_t, EventCounters::kMaxCores> reinsert;
-  std::array<std::uint8_t, EventCounters::kMaxCores> mem_cores;
-  std::array<std::uint32_t, EventCounters::kMaxCores> pc_cache;
-  std::array<std::uint16_t, EventCounters::kMaxCores> bank_cache;
-  unsigned nf = 0;
-  unsigned num_idle = 0;
+  std::array<std::uint32_t, EventCounters::kMaxCores> pc_cache{};
+  std::array<std::uint16_t, EventCounters::kMaxCores> bank_cache{};
+  std::array<std::uint8_t, EventCounters::kMaxCores> mem_cores{};
+  std::uint64_t fetch_mask = 0;  // union of bank_fetchers_
+  std::uint64_t idle_mask = 0;   // Ready cores inside a bubble or ramp
+  std::uint64_t poisoned = 0;    // next slot unsafe: never filed again
   std::uint64_t done = 0;
   std::uint64_t poison_deadline = ~0ull;
 
-  auto fetch_insert = [&](unsigned core) {
-    // (bank, core) insertion keyed on the cached bank — the deterministic
-    // arbitration order of the naive fetch phase.
+  auto file = [&](unsigned core) {
     const unsigned bank = bank_cache[core];
-    unsigned j = nf;
-    while (j > 0 && (bank_cache[fetch_list[j - 1]] > bank ||
-                     (bank_cache[fetch_list[j - 1]] == bank &&
-                      fetch_list[j - 1] > core))) {
-      fetch_list[j] = fetch_list[j - 1];
-      --j;
-    }
-    fetch_list[j] = static_cast<std::uint8_t>(core);
-    ++nf;
+    bank_fetchers_[bank] |= std::uint64_t{1} << core;
+    bank_occupied_[bank / 64] |= std::uint64_t{1} << (bank % 64);
+    fetch_mask |= std::uint64_t{1} << core;
   };
   // Validates a core's next fetch slot: caches it when region-safe, else
   // poisons the region for the cycle the core would fetch it
@@ -1080,105 +1085,96 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
       bank_cache[core] = static_cast<std::uint16_t>(im_.bank_of(pc));
       return true;
     }
+    poisoned |= std::uint64_t{1} << core;
     poison_deadline = std::min(poison_deadline, done + rejoin_in);
     return false;
   };
 
-  // Distinct-PC refcounts over all active cores, maintained across the
-  // region at every PC change (one or two per cycle in the serialized
-  // regime) so the per-cycle lockstep observation is O(1) instead of a
-  // dedup pass. Only used when a sink is attached.
-  std::array<std::uint32_t, EventCounters::kMaxCores> ref_pc;
-  std::array<std::uint8_t, EventCounters::kMaxCores> ref_count;
-  unsigned num_ref = 0;
+  // Distinct-PC count over all active cores for the per-cycle lockstep
+  // observation (only kept with a sink attached): per-slot refcounts in
+  // `pc_refs_`, updated at every PC change. An out-of-program PC is
+  // poisoned and its core never moves again inside the region, so such
+  // PCs are only ever added, to a small list.
+  unsigned distinct_pcs = 0;
+  std::array<std::uint32_t, EventCounters::kMaxCores> outside_pcs{};
+  unsigned num_outside = 0;
   auto pc_ref_add = [&](std::uint32_t pc) {
-    for (unsigned k = 0; k < num_ref; ++k) {
-      if (ref_pc[k] == pc) {
-        ref_count[k] += 1;
-        return;
-      }
-    }
-    ref_pc[num_ref] = pc;
-    ref_count[num_ref++] = 1;
-  };
-  auto pc_ref_remove = [&](std::uint32_t pc) {
-    for (unsigned k = 0; k < num_ref; ++k) {
-      if (ref_pc[k] == pc) {
-        if (--ref_count[k] == 0) {
-          --num_ref;
-          ref_pc[k] = ref_pc[num_ref];
-          ref_count[k] = ref_count[num_ref];
-        }
-        return;
-      }
+    if (im_.in_program(pc)) {
+      distinct_pcs += (pc_refs_[pc - im_begin]++ == 0) ? 1 : 0;
+    } else if (std::find(outside_pcs.begin(), outside_pcs.begin() + num_outside,
+                         pc) == outside_pcs.begin() + num_outside) {
+      outside_pcs[num_outside++] = pc;
+      ++distinct_pcs;
     }
   };
   auto pc_ref_move = [&](std::uint32_t from, std::uint32_t to) {
-    if (observing && from != to) {
-      pc_ref_remove(from);
+    if (observing && from != to) {  // `from` was just fetched: in program
+      distinct_pcs -= (--pc_refs_[from - im_begin] == 0) ? 1 : 0;
       pc_ref_add(to);
     }
   };
 
-  // Entry build from the authoritative core state.
+  // Entry build from the authoritative core state; nothing shared is
+  // touched until every fetch-ready core is known safe.
+  std::uint64_t counted = 0;  // the active cores at entry
   for (const unsigned i : active_cores_) {
     const CoreRuntime& c = cores_[i];
     const std::uint64_t idle =
         static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
-    if (observing) pc_ref_add(c.arch.pc);
+    counted |= std::uint64_t{1} << i;
     if (idle == 0) {
-      if (!im_.in_program(c.arch.pc) || !im_.region_safe(c.arch.pc))
+      if (!revalidate(i, c.arch.pc, 0))
         return 0;  // would fetch an unsafe slot right now: naive tick's job
-      pc_cache[i] = c.arch.pc;
-      bank_cache[i] = static_cast<std::uint16_t>(im_.bank_of(c.arch.pc));
-      fetch_insert(i);
     } else {
-      idle_list[num_idle++] = static_cast<std::uint8_t>(i);
+      idle_mask |= std::uint64_t{1} << i;
       (void)revalidate(i, c.arch.pc, idle);
     }
   }
+  for_each_bit(counted & ~idle_mask, file);
+  if (observing)
+    for_each_bit(counted, [&](unsigned i) { pc_ref_add(cores_[i].arch.pc); });
 
-  while (done < max_cycles && done < poison_deadline && nf > 0) {
+  while (done < max_cycles && done < poison_deadline && fetch_mask != 0) {
     const unsigned eligible = static_cast<unsigned>(active_cores_.size());
 
     // --- the cycle is committed from here on ---
     counters_.cycles += 1;
     ++done;
-    if (++rr_pointer_ >= num_cores) rr_pointer_ = 0;
+    if (++rr_pointer_ >= config_.num_cores) rr_pointer_ = 0;
 
     // Idle actives count their bubble (clocked) or ramp (gated) down.
-    // Expired cores fetch from the NEXT cycle on; their insertion is
-    // deferred below so this cycle's arbitration sees the list unchanged.
-    unsigned num_expired = 0;
-    for (unsigned k = 0; k < num_idle;) {
-      const unsigned i = idle_list[k];
+    // Expired cores fetch from the NEXT cycle on; they are filed below,
+    // after this cycle's arbitration.
+    std::uint64_t expired = 0;
+    for_each_bit(idle_mask, [&](unsigned i) {
       CoreRuntime& c = cores_[i];
-      std::uint64_t remaining;
       if (c.bubble_cycles > 0) {
         c.bubble_cycles -= 1;
         counters_.core_branch_bubble_cycles += 1;
         counters_.core_active_cycles += 1;
         counters_.per_core_active[i] += 1;
-        remaining = static_cast<std::uint64_t>(c.bubble_cycles) + c.ramp_cycles;
       } else {
         c.ramp_cycles -= 1;
         counters_.core_wakeup_ramp_cycles += 1;
-        remaining = c.ramp_cycles;
       }
-      if (remaining == 0) {
-        idle_list[k] = idle_list[--num_idle];
-        expired[num_expired++] = static_cast<std::uint8_t>(i);
-      } else {
-        ++k;
+      if (c.bubble_cycles == 0 && c.ramp_cycles == 0)
+        expired |= std::uint64_t{1} << i;
+    });
+    idle_mask &= ~expired;
+
+    // Lockstep needs one shared PC, hence one bank holding every fetcher.
+    counters_.fetch_cycles += 1;
+    const auto nf = static_cast<unsigned>(std::popcount(fetch_mask));
+    bool lockstep = false;
+    if (nf >= 2 && nf == eligible) {
+      const auto first = static_cast<unsigned>(std::countr_zero(fetch_mask));
+      lockstep = bank_fetchers_[bank_cache[first]] == fetch_mask;
+      if (lockstep) {
+        for_each_bit(fetch_mask, [&](unsigned i) {
+          lockstep = lockstep && pc_cache[i] == pc_cache[first];
+        });
       }
     }
-
-    counters_.fetch_cycles += 1;
-    bool all_same_pc = true;
-    for (unsigned k = 1; k < nf; ++k)
-      all_same_pc =
-          all_same_pc && pc_cache[fetch_list[k]] == pc_cache[fetch_list[0]];
-    const bool lockstep = nf >= 2 && all_same_pc && nf == eligible;
     if (lockstep) counters_.lockstep_cycles += 1;
     if (was_lockstep_ && !lockstep && nf >= 2)
       counters_.divergence_events += 1;
@@ -1186,110 +1182,101 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
 
     // Per-bank arbitration, service and execution — the same decisions as
     // phase_fetch_and_execute, with the execute-action switch reduced to
-    // the three outcomes region-safe instructions can produce. Winners
-    // that leave the fetch set (bubble, memory) are removed after the
-    // loop; winners that stay (cpi 1, no redirect penalty) re-sort under
-    // their new bank.
-    std::uint64_t remove_mask = 0;
-    unsigned num_reinsert = 0;
+    // the three outcomes region-safe instructions can produce.
+    std::uint64_t refile = 0;  // served cores fetching again next cycle
     unsigned num_mem = 0;
     bool force_exit = false;
-    for (unsigned seg = 0; seg < nf;) {
-      unsigned seg_end = seg + 1;
-      const unsigned seg_bank = bank_cache[fetch_list[seg]];
-      while (seg_end < nf && bank_cache[fetch_list[seg_end]] == seg_bank)
-        ++seg_end;
-
-      unsigned winner = seg;
-      if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
-        for (unsigned k = seg + 1; k < seg_end; ++k) {
-          if (cores_[fetch_list[k]].stall_age >
-              cores_[fetch_list[winner]].stall_age)
-            winner = k;
-        }
-      } else if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
-        const unsigned rr_base = rr_pointer_;
-        auto rr_rank = [&](unsigned core) {
-          return core >= rr_base ? core - rr_base : core + num_cores - rr_base;
-        };
-        for (unsigned k = seg + 1; k < seg_end; ++k) {
-          if (rr_rank(fetch_list[k]) < rr_rank(fetch_list[winner])) winner = k;
-        }
-      }
-      const std::uint32_t win_pc = pc_cache[fetch_list[winner]];
-
-      bool group_uniform = true;
-      for (unsigned k = seg; k < seg_end; ++k)
-        group_uniform &= (pc_cache[fetch_list[k]] == win_pc);
-      const bool allow_group_serve =
-          config_.im_fetch_broadcast &&
-          (config_.features.ixbar_partial_broadcast || group_uniform);
-
-      unsigned served = 0;
-      bool first_served = true;
-      for (unsigned k = seg; k < seg_end; ++k) {
-        const unsigned core_index = fetch_list[k];
-        CoreRuntime& c = cores_[core_index];
-        if (pc_cache[core_index] == win_pc &&
-            (allow_group_serve || first_served)) {
-          first_served = false;
-          ++served;
-          c.stall_age = 0;
-          const ExecResult result = execute(c.arch, im_.at(win_pc));
-          switch (result.action) {
-            case ExecAction::kAdvance: {
-              const bool redirect = result.next_pc != win_pc + 1;
-              pc_ref_move(win_pc, result.next_pc);
-              c.arch.pc = result.next_pc;
-              const unsigned pad =
-                  cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
-              c.bubble_cycles = pad;
-              counters_.retired_ops += 1;
-              counters_.per_core_retired[core_index] += 1;
-              counters_.core_active_cycles += 1;
-              counters_.per_core_active[core_index] += 1;
-              remove_mask |= 1ull << core_index;
-              if (pad > 0) {
-                idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
-                (void)revalidate(core_index, result.next_pc, pad);
-              } else if (revalidate(core_index, result.next_pc, 0)) {
-                reinsert[num_reinsert++] =
-                    static_cast<std::uint8_t>(core_index);
-              }
-              break;
-            }
-            default: {  // kMemLoad / kMemStore — the only other outcomes
-              // (mark_active here, not direct adds: the core's activity
-              // settles through the touched list so a phase_dxbar fallback
-              // cannot double-count it.)
-              mark_active(core_index);
-              remove_mask |= 1ull << core_index;
-              if (!dm_.in_range(result.mem_addr)) {
-                trap(core_index, TrapKind::kDmOutOfRange);
-                force_exit = true;
-                break;
-              }
-              c.mem_is_store = (result.action == ExecAction::kMemStore);
-              c.mem_addr = result.mem_addr;
-              c.store_data = result.store_data;
-              c.load_reg = result.load_reg;
-              c.mem_next_pc = result.next_pc;
-              c.load_latched = false;
-              set_status(core_index, CoreStatus::kMemWait);
-              mem_cores[num_mem++] = static_cast<std::uint8_t>(core_index);
-              break;
-            }
+    for (unsigned w = 0; w < bank_occupied_.size(); ++w) {
+      for (std::uint64_t word = bank_occupied_[w]; word != 0;
+           word &= word - 1) {
+        const unsigned bank =
+            w * 64 + static_cast<unsigned>(std::countr_zero(word));
+        const std::uint64_t fetchers = bank_fetchers_[bank];
+        std::uint64_t served = fetchers;  // a lone fetcher is served
+        if ((fetchers & (fetchers - 1)) != 0) {
+          // Winner: the lowest core (fixed priority), the lowest core at
+          // or after the rr pointer else the lowest (round robin), or the
+          // first of the longest-stalled (oldest first).
+          auto winner = static_cast<unsigned>(std::countr_zero(fetchers));
+          if (config_.arbitration == ArbitrationPolicy::kRoundRobin) {
+            const std::uint64_t rotated =
+                fetchers & (~std::uint64_t{0} << rr_pointer_);
+            if (rotated != 0)
+              winner = static_cast<unsigned>(std::countr_zero(rotated));
+          } else if (config_.arbitration == ArbitrationPolicy::kOldestFirst) {
+            for_each_bit(fetchers, [&](unsigned k) {
+              if (cores_[k].stall_age > cores_[winner].stall_age) winner = k;
+            });
           }
-        } else {
-          c.stall_age += 1;
-          counters_.core_fetch_stall_cycles += 1;
+          const std::uint32_t win_pc = pc_cache[winner];
+          std::uint64_t matching = 0;
+          for_each_bit(fetchers, [&](unsigned k) {
+            if (pc_cache[k] == win_pc) matching |= std::uint64_t{1} << k;
+          });
+          const bool allow_group_serve =
+              config_.im_fetch_broadcast &&
+              (config_.features.ixbar_partial_broadcast ||
+               matching == fetchers);
+          // Without group service only the lowest matching core is served.
+          served = allow_group_serve ? matching : matching & (0 - matching);
         }
+        const std::uint64_t stalled = fetchers & ~served;
+        bank_fetchers_[bank] = stalled;
+        if (stalled == 0)
+          bank_occupied_[w] &= ~(std::uint64_t{1} << (bank % 64));
+        fetch_mask &= ~served;
+        for_each_bit(stalled, [&](unsigned k) { cores_[k].stall_age += 1; });
+        counters_.core_fetch_stall_cycles +=
+            static_cast<unsigned>(std::popcount(stalled));
+
+        for_each_bit(served, [&](unsigned core_index) {
+          CoreRuntime& c = cores_[core_index];
+          const std::uint32_t pc = pc_cache[core_index];
+          c.stall_age = 0;
+          const ExecResult result = execute(c.arch, im_.at(pc));
+          if (result.action == ExecAction::kAdvance) {
+            const bool redirect = result.next_pc != pc + 1;
+            pc_ref_move(pc, result.next_pc);
+            c.arch.pc = result.next_pc;
+            const unsigned pad =
+                cpi_pad + (redirect ? config_.branch_taken_penalty : 0);
+            c.bubble_cycles = pad;
+            counters_.retired_ops += 1;
+            counters_.per_core_retired[core_index] += 1;
+            counters_.core_active_cycles += 1;
+            counters_.per_core_active[core_index] += 1;
+            if (pad > 0) {
+              idle_mask |= std::uint64_t{1} << core_index;
+              (void)revalidate(core_index, result.next_pc, pad);
+            } else if (revalidate(core_index, result.next_pc, 0)) {
+              refile |= std::uint64_t{1} << core_index;
+            }
+            return;
+          }
+          // kMemLoad / kMemStore — the only other outcomes. (mark_active
+          // here, not direct adds: the core's activity settles through the
+          // touched list so a phase_dxbar fallback cannot double-count it.)
+          mark_active(core_index);
+          if (!dm_.in_range(result.mem_addr)) {
+            trap(core_index, TrapKind::kDmOutOfRange);
+            force_exit = true;
+            return;
+          }
+          c.mem_is_store = (result.action == ExecAction::kMemStore);
+          c.mem_addr = result.mem_addr;
+          c.store_data = result.store_data;
+          c.load_reg = result.load_reg;
+          c.mem_next_pc = result.next_pc;
+          c.load_latched = false;
+          set_status(core_index, CoreStatus::kMemWait);
+          mem_cores[num_mem++] = static_cast<std::uint8_t>(core_index);
+        });
+        const auto num_served = static_cast<unsigned>(std::popcount(served));
+        counters_.im_bank_accesses += 1;
+        counters_.im_fetches_delivered += num_served;
+        if (num_served > 1) counters_.im_broadcast_groups += 1;
+        if (stalled != 0) counters_.fetch_conflict_cycles += 1;
       }
-      counters_.im_bank_accesses += 1;
-      counters_.im_fetches_delivered += served;
-      if (served > 1) counters_.im_broadcast_groups += 1;
-      if (served < seg_end - seg) counters_.fetch_conflict_cycles += 1;
-      seg = seg_end;
     }
 
     // D-Xbar service for this cycle's loads/stores. Pairwise-distinct DM
@@ -1321,30 +1308,26 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
           pc_ref_move(c.arch.pc, c.mem_next_pc);
           retire_mem(core_index);  // pc = mem_next_pc, bubble = cpi_pad
           if (cpi_pad > 0) {
-            idle_list[num_idle++] = static_cast<std::uint8_t>(core_index);
+            idle_mask |= std::uint64_t{1} << core_index;
             (void)revalidate(core_index, c.mem_next_pc, cpi_pad);
           } else if (revalidate(core_index, c.mem_next_pc, 0)) {
-            reinsert[num_reinsert++] = static_cast<std::uint8_t>(core_index);
+            refile |= std::uint64_t{1} << core_index;
           }
         }
       } else {
+        // phase_dxbar moves PCs behind the refcounts' back; they are not
+        // read again (the break below observes generically), so clear
+        // the slots of the PCs it is about to leave.
+        if (observing)
+          for (unsigned m = 0; m < num_mem; ++m)
+            pc_refs_[cores_[mem_cores[m]].arch.pc - im_begin] = 0;
         phase_dxbar();
-        force_exit = true;  // the local fetch/idle lists are stale now
+        force_exit = true;  // the local fetch/idle masks are stale now
       }
     }
 
-    // Apply the deferred fetch-list updates: drop winners and memory
-    // cores, then re-sort stayers and newly expired cores back in.
-    if (remove_mask != 0) {
-      unsigned kept = 0;
-      for (unsigned k = 0; k < nf; ++k) {
-        if ((remove_mask >> fetch_list[k]) & 1u) continue;
-        fetch_list[kept++] = fetch_list[k];
-      }
-      nf = kept;
-    }
-    for (unsigned k = 0; k < num_reinsert; ++k) fetch_insert(reinsert[k]);
-    for (unsigned k = 0; k < num_expired; ++k) fetch_insert(expired[k]);
+    // Re-file the served stayers and the newly expired cores.
+    for_each_bit(refile | (expired & ~poisoned), file);
 
     // End-of-cycle accounting, as in tick(). (The touched list holds only
     // this cycle's memory cores; every other activity was added directly.)
@@ -1359,8 +1342,8 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
 
     // Regime check: an unresolved DM conflict (kMemWait/kPolicyHold
     // survivors), a trap, or a D-Xbar fallback ends the region; the
-    // generic loop takes over (and rebuilds on re-entry). The refcounted
-    // PC set is only valid while the regime holds, so the break path
+    // generic loop takes over (and rebuilds on re-entry). The distinct-PC
+    // count is only valid while the regime holds, so the break path
     // observes generically.
     if (force_exit ||
         status_counts_[static_cast<unsigned>(CoreStatus::kReady)] !=
@@ -1371,8 +1354,23 @@ std::uint64_t Platform::try_fetch_region(std::uint64_t max_cycles) {
     }
     if (observing) {
       const auto n = static_cast<unsigned>(active_cores_.size());
-      accumulate_lockstep(1, n, n, num_ref);
+      accumulate_lockstep(1, n, n, distinct_pcs);
     }
+  }
+
+  // Leave the shared scratch all-zero for the next region: the filed banks,
+  // and the refcount slots at the counted cores' PCs (every nonzero slot is
+  // one of them).
+  for (unsigned w = 0; w < bank_occupied_.size(); ++w) {
+    for_each_bit(bank_occupied_[w],
+                 [&](unsigned b) { bank_fetchers_[w * 64 + b] = 0; });
+    bank_occupied_[w] = 0;
+  }
+  if (observing) {
+    for_each_bit(counted, [&](unsigned i) {
+      if (im_.in_program(cores_[i].arch.pc))
+        pc_refs_[cores_[i].arch.pc - im_begin] = 0;
+    });
   }
   fetch_region_cycles_ += done;
   return done;

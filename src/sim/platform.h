@@ -434,10 +434,16 @@ class Platform {
   /// Slim executor for the pure fetch regime — the dominant state of
   /// diverged kernels, where every active core is Ready (no DM access,
   /// sync request or policy hold in flight) and every fetch-ready core
-  /// sits on an advance-safe instruction (ALU or control flow). Executes
-  /// whole cycles with exact I-Xbar arbitration, conflict serialization
-  /// and counter/metric updates, but none of the generic phase machinery.
-  /// Hands idle-only cycles to try_fast_forward (keeping its accounting
+  /// sits on a region-safe instruction (ALU, control flow, plain
+  /// load/store). Executes whole cycles with exact I-Xbar arbitration,
+  /// conflict serialization and counter/metric updates, but none of the
+  /// generic phase machinery. Per-cycle state is bitsets: fetch candidates
+  /// filed per IM bank (`bank_fetchers_`, walked in ascending bank order
+  /// through `bank_occupied_`), winners and served/stalled sets as core
+  /// masks, and — with a lockstep sink — distinct PCs as per-slot
+  /// refcounts (`pc_refs_`). A next PC whose slot is not region-safe ends
+  /// the region before the cycle in which its core would fetch it. Hands
+  /// idle-only cycles to try_fast_forward (keeping its accounting
   /// identical) and bails to the naive tick on anything else. Returns the
   /// cycles consumed. Suppressed with bursts (observers / config).
   std::uint64_t try_fetch_region(std::uint64_t max_cycles);
@@ -485,6 +491,17 @@ class Platform {
   std::vector<BankRun> bank_runs_;
   std::array<std::uint8_t, EventCounters::kMaxCores> active_this_cycle_{};
   std::array<unsigned, EventCounters::kMaxCores> dm_bank_of_core_{};
+
+  // try_fetch_region scratch: all zero between calls (the region clears
+  // what it set before returning).
+  /// Per IM bank: mask of the cores filed to fetch from it.
+  std::vector<std::uint64_t> bank_fetchers_;
+  /// Bitmap of the nonzero `bank_fetchers_` entries, one bit per bank, so
+  /// any `im_banks` is walked in ascending order.
+  std::vector<std::uint64_t> bank_occupied_;
+  /// Per program slot: how many active cores sit on it (maintained only
+  /// with a lockstep sink). Sized to the program on every load.
+  std::vector<std::uint8_t> pc_refs_;
 };
 
 }  // namespace ulpsync::sim

@@ -24,18 +24,25 @@
 // so CI can upload the pair; the DivergenceBisection suite additionally
 // exercises sim::find_first_divergence, which binary-searches snapshot
 // checkpoints to the exact first divergent cycle of two runs that should
-// have been bit-identical.
+// have been bit-identical. The RegionEquivalence suite pins the slim
+// fetch-regime executor to the naive loop under every arbitration policy
+// and across crossbar, pipeline and bank-geometry configurations.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "asm/assembler.h"
 #include "core/instrument.h"
+#include "core/lockstep_metrics.h"
+#include "scenario/registry.h"
+#include "scenario/spec.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/rng.h"
@@ -633,6 +640,166 @@ TEST(DivergenceBisection, GeneratedProgramFastForwardModesAreBitIdentical) {
   EXPECT_FALSE(report.diverged)
       << "cycle " << report.first_divergent_cycle << "\n" << report.delta;
 }
+
+// --- fetch-region executor across configurations ----------------------------
+
+/// One platform-configuration point the slim fetch-regime path must be
+/// exact under, applied on top of the program's default configuration.
+struct RegionCase {
+  const char* name;
+  void (*apply)(sim::PlatformConfig&);
+};
+
+constexpr RegionCase kRegionCases[] = {
+    {"defaults", [](sim::PlatformConfig&) {}},
+    {"no_fetch_broadcast",
+     [](sim::PlatformConfig& c) { c.im_fetch_broadcast = false; }},
+    {"no_partial_broadcast",
+     [](sim::PlatformConfig& c) {
+       c.features.ixbar_partial_broadcast = false;
+     }},
+    {"cpi1", [](sim::PlatformConfig& c) { c.base_cpi = 1; }},
+    {"branch_penalty2",
+     [](sim::PlatformConfig& c) { c.branch_taken_penalty = 2; }},
+    {"cpi1_branch_penalty2",
+     [](sim::PlatformConfig& c) {
+       c.base_cpi = 1;
+       c.branch_taken_penalty = 2;
+     }},
+    {"line_slots2", [](sim::PlatformConfig& c) { c.im_line_slots = 2; }},
+    // One slot per line over 128 banks: programs span more than 64 banks,
+    // so the bank-occupancy bitmap needs its second word.
+    {"banks128",
+     [](sim::PlatformConfig& c) {
+       c.im_banks = 128;
+       c.im_line_slots = 1;
+     }},
+};
+
+using RegionParam = std::tuple<sim::ArbitrationPolicy, unsigned>;
+
+class RegionEquivalence : public ::testing::TestWithParam<RegionParam> {
+ protected:
+  /// `base` with this test's arbitration policy and configuration case.
+  [[nodiscard]] sim::PlatformConfig configure(sim::PlatformConfig base) const {
+    base.arbitration = std::get<0>(GetParam());
+    kRegionCases[std::get<1>(GetParam())].apply(base);
+    return base;
+  }
+
+  /// Runs `program` on a platform with every fast path on and on a naive
+  /// one (bursts and fast-forward off), with and without a lockstep sink,
+  /// in windows of `window` cycles, waking all-asleep platforms like a host
+  /// loop. Full snapshots, run results and lockstep metrics must match at
+  /// every window boundary. Returns the fast platforms' fetch-region
+  /// cycles; `finish` sees each finished pair.
+  template <typename Load, typename Finish>
+  std::uint64_t expect_equivalent(const sim::PlatformConfig& config,
+                                  const assembler::Program& program,
+                                  const std::string& what, Load load,
+                                  Finish finish) {
+    constexpr std::uint64_t kWindow = 997;  // prime: boundaries drift
+    std::uint64_t region_cycles = 0;
+    for (const bool sink : {false, true}) {
+      auto naive_config = config;
+      naive_config.burst = false;
+      naive_config.fast_forward = false;
+      sim::Platform fast(config);
+      sim::Platform naive(naive_config);
+      core::LockstepMetrics fast_metrics;
+      core::LockstepMetrics naive_metrics;
+      for (auto* platform : {&fast, &naive}) {
+        platform->load_program(program);
+        load(*platform);
+      }
+      if (sink) {
+        fast.set_lockstep_sink(&fast_metrics);
+        naive.set_lockstep_sink(&naive_metrics);
+      }
+      const std::string label = what + (sink ? " (sink)" : " (no sink)");
+      sim::RunResult result;
+      for (int window = 0; window < 20'000; ++window) {
+        const std::uint64_t target = fast.counters().cycles + kWindow;
+        result = fast.run(target);
+        EXPECT_EQ(result, naive.run(target)) << label << " window " << window;
+        EXPECT_EQ(fast_metrics, naive_metrics) << label << " window " << window;
+        if (!sim::snapshots_equal(fast.save_snapshot(), naive.save_snapshot(),
+                                  sim::DivergenceScope::kFullState)) {
+          ADD_FAILURE() << label << " window " << window << "\n"
+                        << sim::diff_snapshots(naive.save_snapshot(),
+                                               fast.save_snapshot());
+          return region_cycles;
+        }
+        if (result.status == sim::RunResult::Status::kAllAsleep) {
+          fast.interrupt_all();
+          naive.interrupt_all();
+        } else if (result.status != sim::RunResult::Status::kMaxCycles) {
+          break;
+        }
+      }
+      EXPECT_EQ(result.status, sim::RunResult::Status::kAllHalted) << label;
+      finish(fast, naive, label);
+      region_cycles += fast.fetch_region_cycles();
+    }
+    return region_cycles;
+  }
+};
+
+std::string region_case_name(
+    const ::testing::TestParamInfo<RegionParam>& info) {
+  static constexpr const char* kPolicy[] = {"fixed", "oldest", "rr"};
+  const auto policy = static_cast<unsigned>(std::get<0>(info.param));
+  return std::string(kPolicy[policy]) + "_" +
+         kRegionCases[std::get<1>(info.param)].name;
+}
+
+TEST_P(RegionEquivalence, GeneratedProgramsMatchNaiveLoop) {
+  std::uint64_t region_cycles = 0;
+  for (const std::uint64_t seed : {3u, 11u, 23u}) {
+    ProgramGenerator generator(seed);
+    const auto program = compile(generator.generate());
+    region_cycles += expect_equivalent(
+        configure(sim::PlatformConfig::with_synchronizer()), program,
+        "seed " + std::to_string(seed),
+        [&](sim::Platform& platform) { preload_inputs(platform, seed); },
+        [](const sim::Platform&, const sim::Platform&, const std::string&) {});
+  }
+  EXPECT_GT(region_cycles, 0u) << "the fetch-region path never engaged";
+}
+
+TEST_P(RegionEquivalence, PaperKernelsMatchNaiveLoop) {
+  const scenario::Registry& registry = scenario::Registry::builtins();
+  scenario::WorkloadParams params;
+  params.samples = 16;
+  std::uint64_t region_cycles = 0;
+  for (const char* name : {"mrpfltr", "sqrt32", "mrpdln"}) {
+    const auto workload = registry.make(name, params);
+    for (const auto& design : {scenario::DesignVariant::baseline(),
+                               scenario::DesignVariant::synchronized()}) {
+      const bool sync = design.features.hardware_synchronizer;
+      auto config = workload->base_config(sync);
+      config.features = design.features;
+      region_cycles += expect_equivalent(
+          configure(config), workload->program(sync),
+          std::string(name) + " " + design.label,
+          [&](sim::Platform& platform) { workload->load_inputs(platform); },
+          [&](const sim::Platform& fast, const sim::Platform&,
+              const std::string& label) {
+            EXPECT_EQ(workload->verify(fast), "") << label;
+          });
+    }
+  }
+  EXPECT_GT(region_cycles, 0u) << "the fetch-region path never engaged";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndConfigs, RegionEquivalence,
+    ::testing::Combine(::testing::Values(sim::ArbitrationPolicy::kFixedPriority,
+                                         sim::ArbitrationPolicy::kOldestFirst,
+                                         sim::ArbitrationPolicy::kRoundRobin),
+                       ::testing::Range(0u, static_cast<unsigned>(
+                                                std::size(kRegionCases)))),
+    region_case_name);
 
 }  // namespace
 }  // namespace ulpsync
