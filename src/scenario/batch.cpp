@@ -1,12 +1,10 @@
 #include "scenario/batch.h"
 
-#include <atomic>
 #include <map>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "core/lockstep.h"
@@ -15,6 +13,7 @@
 #include "sim/batch/lane_group.h"
 #include "sim/decoded_image.h"
 #include "sim/platform.h"
+#include "util/parallel.h"
 
 namespace ulpsync::scenario {
 
@@ -162,25 +161,9 @@ BatchResult BatchEngine::run(const std::vector<RunSpec>& specs) const {
   // written at disjoint indices (no lock needed); stats accumulate
   // per-task and merge in task order, so the result is deterministic.
   std::vector<BatchStats> task_stats(tasks.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t t = next.fetch_add(1);
-      if (t >= tasks.size()) return;
-      run_group(specs, tasks[t], result, task_stats[t]);
-    }
-  };
-  unsigned jobs = options_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, tasks.size()));
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  util::parallel_for(tasks.size(), options_.jobs, [&](std::size_t t) {
+    run_group(specs, tasks[t], result, task_stats[t]);
+  });
 
   for (const BatchStats& s : task_stats) {
     result.stats.groups += s.groups;

@@ -108,6 +108,8 @@ class BatchEngine {
   /// The registry must outlive the engine and stay unmodified while runs
   /// execute (factories are invoked from worker threads).
   explicit BatchEngine(const Registry& registry, BatchOptions options = {});
+  /// A temporary registry would dangle (see `Engine`): rejected.
+  explicit BatchEngine(Registry&& registry, BatchOptions options = {}) = delete;
 
   /// Executes all specs; `records[i]` always corresponds to `specs[i]` and
   /// is byte-identical to what the scalar engine would produce.

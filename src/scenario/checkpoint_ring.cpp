@@ -15,8 +15,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint8_t kRingMagic[8] = {'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'};
-constexpr std::uint32_t kRingVersion = 1;
+constexpr util::Frame kRingFrame{{'U', 'L', 'P', 'R', 'I', 'N', 'G', '\n'}, 1};
 constexpr std::string_view kManifestHeader = "ulpsync-ring v1";
 
 std::string entry_file_name(std::uint64_t cycle) {
@@ -30,35 +29,18 @@ std::string entry_file_name(std::uint64_t cycle) {
 std::vector<std::uint8_t> serialize_entry(std::uint64_t identity,
                                           std::uint64_t cycle,
                                           const WarmState& state) {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kRingMagic) w.u8(byte);
-  w.u32(kRingVersion);
+  util::WireWriter w = kRingFrame.begin();
   w.u64(identity);
   w.u64(cycle);
   w.blob(serialize_warm_state(state));
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
+  return util::Frame::seal(w);
 }
 
 /// Parses and validates one entry image against the expected identity.
 /// Throws std::invalid_argument on any mismatch.
 RingEntry parse_entry(std::span<const std::uint8_t> bytes,
                       std::uint64_t identity) {
-  if (bytes.size() < sizeof(kRingMagic) + 8) {
-    throw std::invalid_argument("ring entry: truncated image");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader(bytes.subspan(bytes.size() - 8)).u64();
-  if (fnv1a64(bytes.first(bytes.size() - 8)) != stored_hash) {
-    throw std::invalid_argument("ring entry: content hash mismatch");
-  }
-  util::WireReader r(bytes.first(bytes.size() - 8));
-  for (const std::uint8_t byte : kRingMagic) {
-    if (r.u8() != byte) throw std::invalid_argument("ring entry: bad magic");
-  }
-  if (r.u32() != kRingVersion) {
-    throw std::invalid_argument("ring entry: unsupported version");
-  }
+  util::WireReader r = kRingFrame.open(bytes, "ring entry");
   if (r.u64() != identity) {
     throw std::invalid_argument("ring entry: identity mismatch");
   }
@@ -117,15 +99,6 @@ std::optional<ParsedManifest> parse_manifest(const std::string& dir) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes) {
   const std::string tmp = path + ".tmp";
@@ -141,6 +114,11 @@ void write_file_atomic(const std::string& path,
     throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " +
                              ec.message());
   }
+}
+
+void write_text_atomic(const std::string& path, const std::string& text) {
+  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
+                           text.size()});
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
@@ -217,18 +195,13 @@ RingWriter::RingWriter(std::string dir, std::uint64_t identity,
 void RingWriter::write_manifest() const {
   std::ostringstream out;
   out << kManifestHeader << '\n';
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, identity_);
-  out << "identity " << hex << '\n';
+  out << "identity " << util::hex64(identity_) << '\n';
   out << "stride " << stride_ << '\n';
   for (const ManifestRow& row : entries_) {
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, row.hash);
-    out << "entry " << row.cycle << ' ' << row.file << ' ' << hex << '\n';
+    out << "entry " << row.cycle << ' ' << row.file << ' '
+        << util::hex64(row.hash) << '\n';
   }
-  const std::string text = out.str();
-  write_file_atomic(dir_ + "/MANIFEST",
-                    {reinterpret_cast<const std::uint8_t*>(text.data()),
-                     text.size()});
+  write_text_atomic(dir_ + "/MANIFEST", out.str());
 }
 
 void RingWriter::offer(sim::Platform& platform,

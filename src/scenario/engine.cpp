@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "core/lockstep.h"
 #include "power/model.h"
@@ -14,6 +13,7 @@
 #include "scenario/checkpoint_ring.h"
 #include "scenario/replay.h"
 #include "sim/platform.h"
+#include "util/parallel.h"
 
 namespace ulpsync::scenario {
 
@@ -127,9 +127,7 @@ std::string warm_group_key(const RunSpec& spec) {
 
 // (See engine.h.)
 std::uint64_t ring_identity(const RunSpec& spec) {
-  const std::string key = warm_group_key(spec);
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(key.data()),
-                  key.size()});
+  return fnv1a64(warm_group_key(spec));
 }
 
 Engine::Engine(const Registry& registry, EngineOptions options)
@@ -256,11 +254,6 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
   result.perf.run_wall_seconds.assign(specs.size(), 0.0);
   if (specs.empty()) return result;
 
-  unsigned jobs = options_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, specs.size()));
-
   const Clock::time_point sweep_start = Clock::now();
   const bool budgeted = !options_.budget.unlimited();
   const Clock::time_point deadline = sweep_start + options_.budget.wall_limit;
@@ -344,14 +337,7 @@ SweepResult Engine::run_timed(const std::vector<RunSpec>& specs) const {
     }
   };
 
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  util::run_workers(util::resolve_jobs(options_.jobs, specs.size()), worker);
   if (callback_error) std::rethrow_exception(callback_error);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -165,6 +165,9 @@ class Engine {
   /// The registry must outlive the engine and stay unmodified while runs
   /// execute (factories are invoked from worker threads).
   explicit Engine(const Registry& registry, EngineOptions options = {});
+  /// The engine keeps a pointer to its registry, so a temporary one would
+  /// dangle: rejected at compile time.
+  explicit Engine(Registry&& registry, EngineOptions options = {}) = delete;
 
   /// Executes one spec in the calling thread. Never throws: host-side
   /// failures (unknown workload, assembly errors) produce a record with

@@ -1,6 +1,5 @@
 #include "scenario/replay.h"
 
-#include <array>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -17,41 +16,22 @@ namespace {
 
 // "ULPERUN\n" — the envelope's own magic; the embedded schedule carries
 // its own ("ULPEVT1\n") and both trailing hashes must verify.
-constexpr std::array<std::uint8_t, 8> kMagic = {'U', 'L', 'P', 'E',
-                                                'R', 'U', 'N', '\n'};
+constexpr util::Frame kFrame{{'U', 'L', 'P', 'E', 'R', 'U', 'N', '\n'},
+                             RecordedRun::kFormatVersion};
 
 }  // namespace
 
 std::vector<std::uint8_t> RecordedRun::serialize() const {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kMagic) w.u8(byte);
-  w.u32(kFormatVersion);
+  util::WireWriter w = kFrame.begin();
   encode_run_spec(w, spec);
   w.boolean(measure_lockstep);
   w.blob(schedule.serialize());
   w.str(csv_row);
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
+  return util::Frame::seal(w);
 }
 
 RecordedRun RecordedRun::deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kMagic.size() + 4 + 8)
-    throw std::invalid_argument("recorded run: truncated image");
-  const std::span<const std::uint8_t> payload = bytes.first(bytes.size() - 8);
-  {
-    util::WireReader tail(bytes.subspan(bytes.size() - 8));
-    if (tail.u64() != fnv1a64(payload))
-      throw std::invalid_argument(
-          "recorded run: trailing hash mismatch (corrupt image)");
-  }
-  util::WireReader r(payload);
-  for (const std::uint8_t byte : kMagic) {
-    if (r.u8() != byte) throw std::invalid_argument("recorded run: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kFormatVersion)
-    throw std::invalid_argument("recorded run: unsupported version " +
-                                std::to_string(version));
+  util::WireReader r = kFrame.open(bytes, "recorded run");
   RecordedRun run;
   run.spec = decode_run_spec(r);
   run.measure_lockstep = r.boolean();
@@ -63,8 +43,7 @@ RecordedRun RecordedRun::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t RecordedRun::content_hash() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  return fnv1a64(bytes);
+  return fnv1a64(serialize());
 }
 
 void write_recorded_run_file(const std::string& path, const RecordedRun& run) {

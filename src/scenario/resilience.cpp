@@ -1,54 +1,28 @@
 #include "scenario/resilience.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "scenario/checkpoint_ring.h"
+#include "scenario/cli.h"
 #include "scenario/transport.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-constexpr std::uint8_t kCampaignMagic[8] = {'U', 'L', 'P', 'C', 'A',
-                                            'M', 'P', '\n'};
-constexpr std::uint32_t kCampaignVersion = 1;
-constexpr std::string_view kCampaignManifestHeader =
-    "ulpsync-campaign-spool v1";
-
-std::string shard_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
+constexpr util::Frame kCampaignFrame{{'U', 'L', 'P', 'C', 'A', 'M', 'P', '\n'},
+                                     1};
 
 /// "-" for an unspecified (0) voltage, else a fixed 4-decimal rendering —
 /// locale-free, so campaign CSVs are byte-stable across hosts.
@@ -74,11 +48,6 @@ std::string csv_safe(std::string text) {
   return text;
 }
 
-std::uint64_t fnv_str(std::string_view text) {
-  return fnv1a64(
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-}
-
 /// splitmix64 finalizer — the counter hash behind rate-mode thinning.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -98,34 +67,6 @@ double candidate_uniform(std::uint64_t seed, std::uint64_t event,
   h = mix64(h + word);
   h = mix64(h + bit);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-unsigned resolve_jobs(unsigned jobs, std::size_t work_items) {
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::min<std::size_t>(jobs, std::max<std::size_t>(work_items, 1)));
-}
-
-/// Runs `body(index)` for every index in [0, count) on `jobs` threads.
-template <typename Body>
-void parallel_for(std::size_t count, unsigned jobs, const Body& body) {
-  jobs = resolve_jobs(jobs, count);
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t index = next.fetch_add(1);
-      if (index >= count) return;
-      body(index);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
 }
 
 }  // namespace
@@ -168,10 +109,7 @@ std::optional<ErrorModel> parse_error_model(const std::string& name) {
 
 std::vector<ErrorModel> parse_error_models(const std::string& csv) {
   std::vector<ErrorModel> models;
-  std::string item;
-  std::istringstream in(csv);
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : cli::split_list(csv)) {
     const auto model = parse_error_model(item);
     if (!model) throw std::runtime_error("unknown fault class: " + item);
     models.push_back(*model);
@@ -181,10 +119,7 @@ std::vector<ErrorModel> parse_error_models(const std::string& csv) {
 
 std::vector<double> parse_voltage_list(const std::string& csv) {
   std::vector<double> volts;
-  std::string item;
-  std::istringstream in(csv);
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : cli::split_list(csv)) {
     char* end = nullptr;
     const double v = std::strtod(item.c_str(), &end);
     if (end == item.c_str() || *end != '\0' || !(v > 0.0)) {
@@ -384,7 +319,7 @@ std::vector<CampaignFault> expand_campaign(const CampaignConfig& config,
       // voltage-independent inputs: the sampled fault set is identical at
       // every voltage, so across-voltage outcome differences can only
       // come from the rate model.
-      util::Rng rng(config.seed ^ fnv_str(error_model_name(model)));
+      util::Rng rng(config.seed ^ fnv1a64(error_model_name(model)));
       for (unsigned n = 0; n < config.count; ++n) {
         CampaignFault fault = sample_fault(config, schedule, program, pools,
                                            rng, model, num_cores);
@@ -637,7 +572,7 @@ std::vector<FaultTrialRow> run_campaign(const RecordedRun& run,
   }
 
   std::vector<FaultTrialRow> rows(faults.size());
-  parallel_for(faults.size(), jobs, [&](std::size_t index) {
+  util::parallel_for(faults.size(), jobs, [&](std::size_t index) {
     rows[index] =
         run_fault_trial(run, registry, faults[index], config, clean_ptr);
   });
@@ -760,103 +695,21 @@ CampaignConfig decode_campaign_config(util::WireReader& r) {
   return c;
 }
 
-struct CampaignManifest {
-  std::uint64_t fingerprint = 0;
-  std::size_t faults = 0;
-  struct Row {
-    unsigned id = 0;
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-  };
-  std::vector<Row> shards;
-};
-
-CampaignManifest parse_campaign_manifest_text(const std::string& text,
-                                              const std::string& what) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kCampaignManifestHeader) {
-    throw std::runtime_error("not a campaign spool: " + what);
-  }
-  CampaignManifest manifest;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "fingerprint") {
-      std::string hex;
-      fields >> hex;
-      manifest.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-    } else if (tag == "faults") {
-      fields >> manifest.faults;
-    } else if (tag == "shards") {
-      continue;  // redundant with the shard rows; kept for readability
-    } else if (tag == "shard") {
-      CampaignManifest::Row row;
-      fields >> row.id >> row.begin >> row.end;
-      if (fields.fail() || row.end < row.begin) {
-        throw std::runtime_error("malformed shard row in campaign manifest: " +
-                                 line);
-      }
-      manifest.shards.push_back(row);
-    } else if (!tag.empty()) {
-      throw std::runtime_error("unknown campaign manifest directive: " + line);
-    }
-  }
-  if (manifest.shards.empty()) {
-    throw std::runtime_error("campaign manifest lists no shards in " + what);
-  }
-  return manifest;
-}
-
-CampaignManifest parse_campaign_manifest(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST");
-  if (!in) {
-    throw std::runtime_error("no campaign spool manifest in " + dir);
-  }
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return parse_campaign_manifest_text(text, dir);
-}
-
-/// Complete (newline-terminated) lines of a partial part file; a torn
-/// trailing line from a killed worker is dropped.
-std::vector<std::string> complete_lines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string text{std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>()};
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
-
-/// Parses one range image ("<fingerprint-hex> <id> <begin> <end>") —
+/// Parses one range payload ("<fingerprint-hex> <id> <begin> <end>") —
 /// claimed from disk or streamed over a transport alike.
-CampaignManifest::Row parse_range_text(const std::string& text,
-                                       const std::string& what,
-                                       std::uint64_t expect_fingerprint) {
+ShardPayload parse_range_text(const std::string& text,
+                              const std::string& what) {
   std::istringstream in(text);
-  std::string hex;
-  CampaignManifest::Row row;
-  in >> hex >> row.id >> row.begin >> row.end;
-  if (in.fail() || row.end < row.begin ||
-      std::strtoull(hex.c_str(), nullptr, 16) != expect_fingerprint) {
-    throw std::runtime_error("range file " + what +
-                             " does not belong to this campaign spool");
+  std::string hex, extra;
+  ShardPayload shard;
+  std::uint64_t end = 0;
+  in >> hex >> shard.id >> shard.first >> end;
+  if (in.fail() || end < shard.first || hex.size() != 16 || (in >> extra)) {
+    throw std::runtime_error(what + ": malformed fault range");
   }
-  return row;
+  shard.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
+  shard.count = static_cast<std::size_t>(end - shard.first);
+  return shard;
 }
 
 }  // namespace
@@ -871,24 +724,7 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
 
 PlannedCampaign parse_planned_campaign(std::span<const std::uint8_t> bytes,
                                        const std::string& what) {
-  if (bytes.size() < sizeof(kCampaignMagic) + 8) {
-    throw std::invalid_argument(what + ": truncated");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader({bytes.data() + bytes.size() - 8, 8}).u64();
-  if (fnv1a64({bytes.data(), bytes.size() - 8}) != stored_hash) {
-    throw std::invalid_argument(what +
-                                ": content hash mismatch (corrupt spool?)");
-  }
-  util::WireReader r({bytes.data(), bytes.size() - 8});
-  for (const std::uint8_t byte : kCampaignMagic) {
-    if (r.u8() != byte) {
-      throw std::invalid_argument(what + ": bad magic");
-    }
-  }
-  if (r.u32() != kCampaignVersion) {
-    throw std::invalid_argument(what + ": unsupported version");
-  }
+  util::WireReader r = kCampaignFrame.open(bytes, what);
   PlannedCampaign planned;
   planned.fingerprint = r.u64();
   planned.config = decode_campaign_config(r);
@@ -912,10 +748,6 @@ CampaignPlanResult plan_campaign_spool(const std::string& dir,
                                        const CampaignConfig& config,
                                        const Registry& registry,
                                        const CampaignSpoolOptions& options) {
-  if (fs::exists(dir + "/MANIFEST")) {
-    throw std::runtime_error("spool " + dir +
-                             " is already planned; use a fresh directory");
-  }
   const auto workload = registry.make(run.spec.workload, run.spec.params);
   const assembler::Program& program =
       workload->program(run.spec.with_synchronizer());
@@ -925,71 +757,129 @@ CampaignPlanResult plan_campaign_spool(const std::string& dir,
     throw std::invalid_argument(
         "plan_campaign_spool: the campaign expands to no faults");
   }
-  for (const char* sub : {"/queue", "/claimed", "/done", "/parts"}) {
-    std::error_code ec;
-    fs::create_directories(dir + sub, ec);
-    if (ec) {
-      throw std::runtime_error("cannot create spool directory " + dir + sub +
-                               ": " + ec.message());
-    }
-  }
+  create_spool_dirs(dir, SpoolKind::kCampaign);
 
-  const std::uint64_t fingerprint = campaign_fingerprint(config, run);
+  SpoolManifest manifest;
+  manifest.kind = SpoolKind::kCampaign;
+  manifest.fingerprint = campaign_fingerprint(config, run);
+  manifest.specs = faults.size();
   {
-    util::WireWriter w;
-    for (const std::uint8_t byte : kCampaignMagic) w.u8(byte);
-    w.u32(kCampaignVersion);
-    w.u64(fingerprint);
+    util::WireWriter w = kCampaignFrame.begin();
+    w.u64(manifest.fingerprint);
     encode_campaign_config(w, config);
     w.blob(run.serialize());
-    w.u64(fnv1a64(w.bytes()));
-    write_file_atomic(dir + "/campaign.bin", w.take());
+    write_file_atomic(dir + "/campaign.bin", util::Frame::seal(w));
   }
 
   // Contiguous fault-index ranges, balanced to within one fault.
   const unsigned shard_count = static_cast<unsigned>(std::min<std::size_t>(
       std::max(1u, options.shards), faults.size()));
-  const std::uint64_t base = faults.size() / shard_count;
-  const std::uint64_t extra = faults.size() % shard_count;
-
-  std::ostringstream manifest;
-  manifest << kCampaignManifestHeader << '\n';
-  manifest << "fingerprint " << hex64(fingerprint) << '\n';
-  manifest << "faults " << faults.size() << '\n';
-  manifest << "shards " << shard_count << '\n';
   std::uint64_t begin = 0;
   for (unsigned s = 0; s < shard_count; ++s) {
-    const std::uint64_t end = begin + base + (s < extra ? 1 : 0);
-    write_text_atomic(dir + "/queue/" + shard_name(s) + ".range",
-                      hex64(fingerprint) + " " + std::to_string(s) + " " +
-                          std::to_string(begin) + " " + std::to_string(end) +
-                          "\n");
-    manifest << "shard " << s << ' ' << begin << ' ' << end << '\n';
-    begin = end;
+    const std::size_t size =
+        faults.size() / shard_count + (s < faults.size() % shard_count ? 1 : 0);
+    write_text_atomic(dir + "/queue/" + payload_file(SpoolKind::kCampaign, s),
+                      util::hex64(manifest.fingerprint) + " " +
+                          std::to_string(s) + " " + std::to_string(begin) +
+                          " " + std::to_string(begin + size) + "\n");
+    manifest.shards.push_back({s, size, 0, begin});
+    begin += size;
   }
-  // The manifest is written last: a spool without one is unplanned, never
-  // half-planned.
-  write_text_atomic(dir + "/MANIFEST", manifest.str());
+  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   CampaignPlanResult result;
   result.faults = faults.size();
   result.shards = shard_count;
-  result.fingerprint = fingerprint;
+  result.fingerprint = manifest.fingerprint;
   return result;
 }
 
 bool is_campaign_spool(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST");
-  if (!in) return false;
-  std::string line;
-  return std::getline(in, line) && line == kCampaignManifestHeader;
+  return is_campaign_manifest(read_text_file(dir + "/MANIFEST"));
 }
 
 bool is_campaign_manifest(const std::string& manifest_text) {
-  std::istringstream in(manifest_text);
-  std::string line;
-  return std::getline(in, line) && line == kCampaignManifestHeader;
+  return manifest_kind(manifest_text) == SpoolKind::kCampaign;
 }
+
+namespace {
+
+/// The campaign kind of the spool protocol: a fault-index range per shard,
+/// trials computed in parallel blocks against the planned campaign.
+class CampaignJob final : public IndexedRowJob {
+ public:
+  /// A merge needs neither a registry nor a thread count.
+  explicit CampaignJob(const Registry* registry = nullptr, unsigned jobs = 1)
+      : registry_(registry), jobs_(jobs) {}
+
+  [[nodiscard]] SpoolKind kind() const override {
+    return SpoolKind::kCampaign;
+  }
+  [[nodiscard]] std::string csv_header() const override {
+    return campaign_csv_header();
+  }
+  [[nodiscard]] ShardPayload decode(std::span<const std::uint8_t> bytes,
+                                    const std::string& what,
+                                    bool /*full*/) override {
+    ShardPayload shard =
+        parse_range_text(std::string(bytes.begin(), bytes.end()), what);
+    shard_first_ = shard.first;
+    return shard;
+  }
+  void prepare(SpoolTransport& transport,
+               const SpoolManifest& manifest) override {
+    planned_ = parse_planned_campaign(
+        transport.fetch_blob("campaign.bin"),
+        "campaign image from " + transport.describe());
+    if (planned_.fingerprint != manifest.fingerprint) {
+      throw std::runtime_error("campaign image in " + transport.describe() +
+                               " does not match the spool manifest");
+    }
+    const auto workload =
+        registry_->make(planned_.run.spec.workload, planned_.run.spec.params);
+    faults_ = expand_campaign(
+        planned_.config, planned_.run.schedule,
+        workload->program(planned_.run.spec.with_synchronizer()),
+        workload->num_cores());
+    if (faults_.size() != manifest.specs) {
+      throw std::runtime_error(
+          "campaign in " + transport.describe() + " expands to " +
+          std::to_string(faults_.size()) + " faults, manifest says " +
+          std::to_string(manifest.specs));
+    }
+    if (!planned_.config.localize) {
+      clean_final_ = clean_final_state(planned_.run, *registry_);
+    }
+  }
+  /// Four trials per thread between heartbeats, so a kill loses at most
+  /// one block's unsent rows.
+  [[nodiscard]] std::size_t block_rows() const override {
+    return std::size_t{4} *
+           util::resolve_jobs(jobs_, std::numeric_limits<std::size_t>::max());
+  }
+  [[nodiscard]] RowBlock compute(std::size_t first,
+                                 std::size_t count) override {
+    RowBlock block;
+    block.rows.resize(count);
+    const std::uint64_t base = shard_first_ + first;
+    util::parallel_for(count, jobs_, [&](std::size_t k) {
+      block.rows[k] = fault_row_csv(run_fault_trial(
+          planned_.run, *registry_, faults_[base + k], planned_.config,
+          clean_final_ ? &*clean_final_ : nullptr));
+    });
+    return block;
+  }
+
+ private:
+  const Registry* registry_;
+  unsigned jobs_;
+  PlannedCampaign planned_;
+  std::vector<CampaignFault> faults_;
+  std::optional<sim::Snapshot> clean_final_;
+  std::uint64_t shard_first_ = 0;
+};
+
+}  // namespace
 
 CampaignWorkReport work_campaign_spool(const std::string& dir,
                                        const Registry& registry,
@@ -1001,109 +891,11 @@ CampaignWorkReport work_campaign_spool(const std::string& dir,
 CampaignWorkReport work_campaign_transport(SpoolTransport& transport,
                                            const Registry& registry,
                                            const CampaignWorkOptions& options) {
-  const CampaignManifest manifest = parse_campaign_manifest_text(
-      transport.manifest_text(), transport.describe());
-  const std::string worker = options.worker_id.empty()
-                                 ? std::to_string(::getpid())
-                                 : options.worker_id;
-
-  if (options.resume) {
-    transport.adopt_orphans();
-  }
-
-  const PlannedCampaign planned =
-      parse_planned_campaign(transport.fetch_blob("campaign.bin"),
-                             "campaign image from " + transport.describe());
-  if (planned.fingerprint != manifest.fingerprint) {
-    throw std::runtime_error("campaign image in " + transport.describe() +
-                             " does not match the spool manifest");
-  }
-  const auto workload =
-      registry.make(planned.run.spec.workload, planned.run.spec.params);
-  const assembler::Program& program =
-      workload->program(planned.run.spec.with_synchronizer());
-  const std::vector<CampaignFault> faults = expand_campaign(
-      planned.config, planned.run.schedule, program, workload->num_cores());
-  if (faults.size() != manifest.faults) {
-    throw std::runtime_error("campaign in " + transport.describe() +
-                             " expands to " +
-                             std::to_string(faults.size()) +
-                             " faults, manifest says " +
-                             std::to_string(manifest.faults));
-  }
-  sim::Snapshot clean_final;
-  const sim::Snapshot* clean_ptr = nullptr;
-  if (!planned.config.localize) {
-    clean_final = clean_final_state(planned.run, registry);
-    clean_ptr = &clean_final;
-  }
-
-  CampaignWorkReport report;
-  while (options.max_shards == 0 ||
-         report.shards_completed < options.max_shards) {
-    const std::optional<ClaimedShard> claimed = transport.claim(worker);
-    if (!claimed) break;  // queue drained (or raced dry)
-    if (claimed->kind != "range") {
-      throw std::runtime_error("claimed shard " + std::to_string(claimed->id) +
-                               " is not a campaign range (mixed spool?)");
-    }
-
-    const std::string range_text(claimed->payload.begin(),
-                                 claimed->payload.end());
-    const CampaignManifest::Row range = parse_range_text(
-        range_text, "of shard " + std::to_string(claimed->id),
-        manifest.fingerprint);
-    if (range.end > faults.size()) {
-      throw std::runtime_error("range file of shard " +
-                               std::to_string(claimed->id) +
-                               " exceeds the campaign's fault count");
-    }
-    const std::size_t range_size =
-        static_cast<std::size_t>(range.end - range.begin);
-
-    std::vector<std::string> rows = claimed->rows;
-    if (rows.size() > range_size) {
-      throw std::runtime_error("partial part of shard " +
-                               std::to_string(range.id) +
-                               " has more rows than the shard has faults");
-    }
-    report.rows_reused += rows.size();
-
-    if (rows.size() < range_size) {
-      // Rows already present are skipped, not re-run: they are
-      // deterministic, so adopting them is byte-identical and a resumed
-      // spool never repeats finished work. Trials run in parallel blocks;
-      // rows stream back in index order, so a kill loses at most one
-      // in-flight block's unsent rows.
-      const unsigned jobs = resolve_jobs(options.jobs, range_size);
-      while (rows.size() < range_size) {
-        transport.heartbeat(range.id);  // blocks can outlast a quiet lease
-        const std::size_t block = std::min<std::size_t>(
-            range_size - rows.size(), std::max<std::size_t>(jobs, 1) * 4);
-        const std::uint64_t block_begin = range.begin + rows.size();
-        std::vector<std::string> block_rows(block);
-        parallel_for(block, jobs, [&](std::size_t k) {
-          block_rows[k] = fault_row_csv(
-              run_fault_trial(planned.run, registry, faults[block_begin + k],
-                              planned.config, clean_ptr));
-        });
-        for (const std::string& row : block_rows) {
-          transport.append_row(range.id, row);
-          rows.push_back(row);
-          report.trials_executed += 1;
-        }
-      }
-    }
-
-    std::string part_text;
-    for (const std::string& row : rows) part_text += row + '\n';
-    transport.complete(
-        range.id,
-        fnv1a64({reinterpret_cast<const std::uint8_t*>(part_text.data()),
-                 part_text.size()}));
-    report.shards_completed += 1;
-  }
-  return report;
+  CampaignJob job(&registry, options.jobs);
+  const DrainReport drained = drain_spool(transport, job, options.worker_id,
+                                          options.resume, options.max_shards);
+  return {drained.shards_completed, drained.rows_executed,
+          drained.rows_reused};
 }
 
 std::string merge_campaign_spool(const std::string& dir) {
@@ -1112,39 +904,8 @@ std::string merge_campaign_spool(const std::string& dir) {
 }
 
 std::string merge_campaign_transport(SpoolTransport& transport) {
-  const CampaignManifest manifest = parse_campaign_manifest_text(
-      transport.manifest_text(), transport.describe());
-  std::vector<std::string> rows(manifest.faults);
-  std::vector<bool> filled(manifest.faults, false);
-  for (const CampaignManifest::Row& row : manifest.shards) {
-    const std::vector<std::string> lines =
-        split_complete_lines(transport.part_text(row.id));
-    if (lines.size() != row.end - row.begin) {
-      throw std::runtime_error(
-          "cannot merge: part of shard " + std::to_string(row.id) + " has " +
-          std::to_string(lines.size()) + " rows, manifest expects " +
-          std::to_string(row.end - row.begin));
-    }
-    for (std::size_t k = 0; k < lines.size(); ++k) {
-      const std::uint64_t index = row.begin + k;
-      if (index >= rows.size() || filled[index]) {
-        throw std::runtime_error(
-            "cannot merge: shard " + std::to_string(row.id) +
-            " covers an invalid or duplicate fault index");
-      }
-      rows[index] = lines[k];
-      filled[index] = true;
-    }
-  }
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (!filled[i]) {
-      throw std::runtime_error("cannot merge: fault " + std::to_string(i) +
-                               " is covered by no shard");
-    }
-  }
-  std::string out = campaign_csv_header() + "\n";
-  for (const std::string& row : rows) out += row + '\n';
-  return out;
+  CampaignJob job;
+  return merge_spool_rows(transport, job);
 }
 
 // --- shared campaign CLI vocabulary ------------------------------------------
@@ -1233,30 +994,9 @@ RecordedRun acquire_campaign_run(const util::CliArgs& args,
 }
 
 SpoolStatus campaign_spool_status(const std::string& dir) {
-  const CampaignManifest manifest = parse_campaign_manifest(dir);
-  SpoolStatus status;
-  status.fingerprint = manifest.fingerprint;
-  status.specs = manifest.faults;
-  for (const CampaignManifest::Row& row : manifest.shards) {
-    ShardState shard;
-    shard.id = row.id;
-    shard.specs = static_cast<std::size_t>(row.end - row.begin);
-    const std::string name = shard_name(row.id);
-    if (fs::exists(dir + "/done/" + name + ".range")) {
-      shard.state = "done";
-    } else if (fs::exists(dir + "/claimed/" + name + ".range")) {
-      shard.state = "claimed";
-      std::ifstream owner(dir + "/claimed/" + name + ".owner");
-      std::getline(owner, shard.owner);
-    } else if (fs::exists(dir + "/queue/" + name + ".range")) {
-      shard.state = "queued";
-    } else {
-      shard.state = "lost";
-    }
-    shard.part_final = fs::exists(dir + "/parts/" + part_name(row.id) + ".csv");
-    shard.partial_rows =
-        complete_lines(dir + "/parts/" + part_name(row.id) + ".partial").size();
-    status.shards.push_back(std::move(shard));
+  SpoolStatus status = spool_status(dir);
+  if (status.kind != SpoolKind::kCampaign) {
+    throw std::runtime_error("not a campaign spool: " + dir);
   }
   return status;
 }

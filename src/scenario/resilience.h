@@ -37,8 +37,8 @@
 ///     deterministic given its config and the recorded run, so a
 ///     million-fault campaign shards by *fault-index range*: the plan
 ///     writes one `campaign.bin` (config + recorded-run envelope, hashed)
-///     plus tiny range files that workers claim by atomic rename, exactly
-///     like the sweep spool (scenario/shard.h). Workers re-expand the
+///     plus tiny range files — the campaign payload kind of the one spool
+///     protocol sweeps use (scenario/spool.h). Workers re-expand the
 ///     fault list locally, append rows to `.partial` part files (complete
 ///     rows of a SIGKILLed worker are adopted on `--resume`), and `merge`
 ///     reassembles the campaign CSV **byte-identical** to a single-process
@@ -326,8 +326,8 @@ CampaignWorkReport work_campaign_transport(
 [[nodiscard]] std::string merge_campaign_spool(const std::string& dir);
 [[nodiscard]] std::string merge_campaign_transport(SpoolTransport& transport);
 
-/// Campaign-spool progress (shares the sweep spool's status shape;
-/// `specs` counts faults).
+/// Campaign-spool progress: `spool_status` of a campaign spool (`specs`
+/// counts faults). Throws std::runtime_error for any other spool.
 [[nodiscard]] SpoolStatus campaign_spool_status(const std::string& dir);
 
 /// Loads the planned campaign back from `<dir>/campaign.bin` (validated

@@ -1,15 +1,13 @@
 #include "scenario/shard.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -25,29 +23,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint8_t kBundleMagic[8] = {'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'};
 // Version 3 appended the optional `EnergyRequest` to the spec codec.
-constexpr std::uint32_t kBundleVersion = 3;
-constexpr std::string_view kManifestHeader = "ulpsync-spool v1";
+constexpr util::Frame kBundleFrame{{'U', 'L', 'P', 'S', 'P', 'O', 'L', '\n'},
+                                   3};
 constexpr std::uint32_t kNoWarmRef = 0xFFFFFFFFu;
-
-std::string shard_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_name(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -160,111 +139,30 @@ namespace {
 
 struct BundlePlan {
   unsigned id = 0;
-  std::vector<std::uint64_t> indices;
-  std::vector<std::uint32_t> warm_ref;
+  double weight = 0.0;  ///< predicted load the planner balances
+  /// (global spec index, warm-state reference) per spec.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
   std::vector<std::vector<std::uint8_t>> warm_blobs;
 };
 
 std::vector<std::uint8_t> serialize_bundle(const BundlePlan& plan,
                                            const std::vector<RunSpec>& specs,
                                            std::uint64_t fingerprint) {
-  util::WireWriter w;
-  for (const std::uint8_t byte : kBundleMagic) w.u8(byte);
-  w.u32(kBundleVersion);
+  util::WireWriter w = kBundleFrame.begin();
   w.u64(fingerprint);
   w.u32(plan.id);
-  w.u32(static_cast<std::uint32_t>(plan.indices.size()));
-  for (std::size_t i = 0; i < plan.indices.size(); ++i) {
-    w.u64(plan.indices[i]);
-    w.u32(plan.warm_ref[i]);
-    encode_run_spec(w, specs[plan.indices[i]]);
+  w.u32(static_cast<std::uint32_t>(plan.entries.size()));
+  for (const auto& [index, warm_ref] : plan.entries) {
+    w.u64(index);
+    w.u32(warm_ref);
+    encode_run_spec(w, specs[index]);
   }
   w.u32(static_cast<std::uint32_t>(plan.warm_blobs.size()));
   for (const auto& blob : plan.warm_blobs) w.blob(blob);
-  w.u64(fnv1a64(w.bytes()));
-  return w.take();
-}
-
-// --- spool manifest ----------------------------------------------------------
-
-/// The manifest text, or the "unplanned spool" diagnostic.
-std::string read_manifest_text(const std::string& dir) {
-  std::ifstream in(dir + "/MANIFEST", std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("no spool manifest in " + dir +
-                             " (run `sweep_shard plan` first?)");
-  }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-SpoolManifest parse_spool_manifest(const std::string& dir) {
-  return parse_spool_manifest_text(read_manifest_text(dir), dir);
-}
-
-/// Complete (newline-terminated) lines of a partial part file; a torn
-/// trailing line from a killed worker is dropped.
-std::vector<std::string> complete_lines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string text{std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>()};
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
+  return util::Frame::seal(w);
 }
 
 }  // namespace
-
-SpoolManifest parse_spool_manifest_text(const std::string& text,
-                                        const std::string& what) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    throw std::runtime_error("malformed spool manifest in " + what);
-  }
-  SpoolManifest manifest;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "fingerprint") {
-      std::string hex;
-      fields >> hex;
-      manifest.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-    } else if (tag == "specs") {
-      fields >> manifest.specs;
-    } else if (tag == "shards") {
-      continue;  // redundant with the shard rows; kept for readability
-    } else if (tag == "shard") {
-      SpoolManifest::Row row;
-      std::string hex;
-      fields >> row.id >> row.specs >> hex;
-      if (fields.fail() || hex.empty()) {
-        throw std::runtime_error("malformed shard row in spool manifest: " +
-                                 line);
-      }
-      row.bundle_hash = std::strtoull(hex.c_str(), nullptr, 16);
-      manifest.shards.push_back(row);
-    } else if (!tag.empty()) {
-      throw std::runtime_error("unknown spool manifest directive: " + line);
-    }
-  }
-  if (manifest.shards.empty()) {
-    throw std::runtime_error("spool manifest lists no shards in " + what);
-  }
-  return manifest;
-}
 
 // --- cost model --------------------------------------------------------------
 
@@ -278,8 +176,8 @@ std::string cost_line(const RunSpec& spec, std::uint64_t cycles,
                       double wall_seconds) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9e", wall_seconds);
-  return "cost " + hex64(spec_cost_key(spec)) + " " + spec.workload + " " +
-         std::to_string(cycles) + " " + buffer;
+  return "cost " + util::hex64(spec_cost_key(spec)) + " " + spec.workload +
+         " " + std::to_string(cycles) + " " + buffer;
 }
 
 void CostModel::add(std::uint64_t key, const std::string& workload,
@@ -372,18 +270,7 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   if (specs.empty()) {
     throw std::invalid_argument("plan_spool: empty spec list");
   }
-  if (fs::exists(dir + "/MANIFEST")) {
-    throw std::runtime_error("spool " + dir +
-                             " is already planned; use a fresh directory");
-  }
-  for (const char* sub : {"/queue", "/claimed", "/done", "/parts", "/rings"}) {
-    std::error_code ec;
-    fs::create_directories(dir + sub, ec);
-    if (ec) {
-      throw std::runtime_error("cannot create spool directory " + dir + sub +
-                               ": " + ec.message());
-    }
-  }
+  create_spool_dirs(dir, SpoolKind::kSweep);
 
   // Scheduling units: an identical-prefix group (the engine's warm-start
   // grouping rule) stays on one shard so its members share the shipped
@@ -421,7 +308,6 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   const bool costed = !options.costs.empty();
   std::vector<BundlePlan> bundles(shard_count);
   for (unsigned s = 0; s < shard_count; ++s) bundles[s].id = s;
-  std::vector<double> weight(shard_count, 0.0);
   std::vector<unsigned> shard_of_unit(units.size(), 0);
   std::vector<double> unit_weight(units.size(), 0.0);
   std::vector<std::size_t> order(units.size());
@@ -446,10 +332,10 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
   for (const std::size_t u : order) {
     unsigned best = 0;
     for (unsigned s = 1; s < shard_count; ++s) {
-      if (weight[s] < weight[best]) best = s;
+      if (bundles[s].weight < bundles[best].weight) best = s;
     }
     shard_of_unit[u] = best;
-    weight[best] += unit_weight[u];
+    bundles[best].weight += unit_weight[u];
   }
 
   // Capture one WarmState per multi-member unit and attach it to the
@@ -470,67 +356,40 @@ PlanResult plan_spool(const std::string& dir, const std::vector<RunSpec>& specs,
       }
     }
     for (const std::size_t index : units[u]) {
-      bundle.indices.push_back(index);
-      bundle.warm_ref.push_back(ref);
+      bundle.entries.emplace_back(index, ref);
     }
   }
   // Bundle entries in ascending global-index order (units may interleave).
   for (BundlePlan& bundle : bundles) {
-    std::vector<std::size_t> order(bundle.indices.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return bundle.indices[a] < bundle.indices[b];
-    });
-    BundlePlan sorted;
-    sorted.id = bundle.id;
-    sorted.warm_blobs = std::move(bundle.warm_blobs);
-    for (const std::size_t i : order) {
-      sorted.indices.push_back(bundle.indices[i]);
-      sorted.warm_ref.push_back(bundle.warm_ref[i]);
-    }
-    bundle = std::move(sorted);
+    std::sort(bundle.entries.begin(), bundle.entries.end());
   }
-
   if (costed) {
     // Heaviest shard first: workers claim queue bundles in name order, so
     // numbering by descending predicted weight starts the long poles
     // before the stragglers (ties keep the original id order).
-    std::vector<unsigned> by_weight(shard_count);
-    for (unsigned s = 0; s < shard_count; ++s) by_weight[s] = s;
-    std::sort(by_weight.begin(), by_weight.end(),
-              [&](unsigned a, unsigned b) {
-                if (weight[a] != weight[b]) return weight[a] > weight[b];
-                return a < b;
-              });
-    std::vector<BundlePlan> renumbered;
-    for (unsigned s = 0; s < shard_count; ++s) {
-      BundlePlan bundle = std::move(bundles[by_weight[s]]);
-      bundle.id = s;
-      renumbered.push_back(std::move(bundle));
-    }
-    bundles = std::move(renumbered);
+    std::stable_sort(bundles.begin(), bundles.end(),
+                     [](const BundlePlan& a, const BundlePlan& b) {
+                       return a.weight > b.weight;
+                     });
+    for (unsigned s = 0; s < shard_count; ++s) bundles[s].id = s;
   }
 
-  const std::uint64_t fingerprint = spec_fingerprint(specs);
-  std::ostringstream manifest;
-  manifest << kManifestHeader << '\n';
-  manifest << "fingerprint " << hex64(fingerprint) << '\n';
-  manifest << "specs " << specs.size() << '\n';
-  manifest << "shards " << shard_count << '\n';
+  SpoolManifest manifest;
+  manifest.kind = SpoolKind::kSweep;
+  manifest.fingerprint = spec_fingerprint(specs);
+  manifest.specs = specs.size();
   for (const BundlePlan& bundle : bundles) {
-    const auto bytes = serialize_bundle(bundle, specs, fingerprint);
-    write_file_atomic(dir + "/queue/" + shard_name(bundle.id) + ".bundle",
-                      bytes);
-    manifest << "shard " << bundle.id << ' ' << bundle.indices.size() << ' '
-             << hex64(fnv1a64(bytes)) << '\n';
+    const auto bytes = serialize_bundle(bundle, specs, manifest.fingerprint);
+    write_file_atomic(
+        dir + "/queue/" + payload_file(SpoolKind::kSweep, bundle.id), bytes);
+    manifest.shards.push_back(
+        {bundle.id, bundle.entries.size(), fnv1a64(bytes), 0});
   }
-  // The manifest is written last: a spool without one is unplanned, never
-  // half-planned.
-  write_text_atomic(dir + "/MANIFEST", manifest.str());
+  write_text_atomic(dir + "/MANIFEST", spool_manifest_text(manifest));
 
   result.specs = specs.size();
   result.shards = shard_count;
-  result.fingerprint = fingerprint;
+  result.fingerprint = manifest.fingerprint;
   return result;
 }
 
@@ -542,24 +401,7 @@ ShardBundle load_bundle(const std::string& path, bool load_warm_states) {
 ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
                                const std::string& what,
                                bool load_warm_states) {
-  if (bytes.size() < sizeof(kBundleMagic) + 8) {
-    throw std::invalid_argument(what + ": truncated image");
-  }
-  const std::uint64_t stored_hash =
-      util::WireReader({bytes.data() + bytes.size() - 8, 8}).u64();
-  if (fnv1a64({bytes.data(), bytes.size() - 8}) != stored_hash) {
-    throw std::invalid_argument(what +
-                                ": content hash mismatch (corrupt spool?)");
-  }
-  util::WireReader r({bytes.data(), bytes.size() - 8});
-  for (const std::uint8_t byte : kBundleMagic) {
-    if (r.u8() != byte) {
-      throw std::invalid_argument(what + ": bad magic");
-    }
-  }
-  if (r.u32() != kBundleVersion) {
-    throw std::invalid_argument(what + ": unsupported version");
-  }
+  util::WireReader r = kBundleFrame.open(bytes, what);
   ShardBundle bundle;
   bundle.fingerprint = r.u64();
   bundle.id = r.u32();
@@ -588,6 +430,90 @@ ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
   return bundle;
 }
 
+namespace {
+
+/// The sweep kind of the spool protocol: a bundle of specs per shard, one
+/// run (and one cost-feedback line) per row.
+class SweepJob final : public IndexedRowJob {
+ public:
+  /// A merge needs neither a registry nor work options.
+  explicit SweepJob(const Registry* registry = nullptr,
+                    WorkOptions options = {})
+      : registry_(registry), options_(std::move(options)) {}
+
+  [[nodiscard]] SpoolKind kind() const override { return SpoolKind::kSweep; }
+  [[nodiscard]] std::string csv_header() const override {
+    return scenario::csv_header();
+  }
+  [[nodiscard]] ShardPayload decode(std::span<const std::uint8_t> bytes,
+                                    const std::string& what,
+                                    bool full) override {
+    bundle_ = parse_bundle_bytes(bytes, what, /*load_warm_states=*/full);
+    return {bundle_.id, bundle_.fingerprint, bundle_.indices};
+  }
+  void prepare(SpoolTransport& transport,
+               const SpoolManifest& /*manifest*/) override {
+    if (!options_.record_dir.empty()) {
+      fs::create_directories(options_.record_dir);
+    }
+    EngineOptions engine_options;
+    if (options_.ring_stride != 0) {
+      // Checkpoint rings live next to the spool, so they need one: a remote
+      // transport has no shared directory to keep them in.
+      if (transport.local_dir().empty()) {
+        throw std::runtime_error(
+            "checkpoint rings need a filesystem spool "
+            "(drop --ring-stride when working over --connect)");
+      }
+      engine_options.checkpoint_ring.dir = transport.local_dir() + "/rings";
+      engine_options.checkpoint_ring.stride = options_.ring_stride;
+      engine_options.checkpoint_ring.keep = options_.ring_keep;
+      engine_options.checkpoint_ring.resume = true;
+    }
+    engine_.emplace(*registry_, engine_options);
+  }
+  [[nodiscard]] RowBlock compute(std::size_t first,
+                                 std::size_t count) override {
+    RowBlock block;
+    for (std::size_t k = first; k < first + count; ++k) {
+      RunSpec spec = bundle_.specs[k];
+      if (bundle_.warm_ref[k] >= 0) {
+        spec.resume_from =
+            bundle_.warm_states[static_cast<std::size_t>(bundle_.warm_ref[k])];
+        warm_resumed += 1;
+      }
+      if (!options_.record_dir.empty()) {
+        // Recording forces the run cold and ring-less (bit-identical rows),
+        // so the .evt is the same artifact a scalar recording of this spec
+        // would produce; the global index names it.
+        spec.record_events_to = options_.record_dir + "/run-" +
+                                std::to_string(bundle_.indices[k]) + ".evt";
+      }
+      const auto start = std::chrono::steady_clock::now();
+      const RunRecord record = engine_->run_one(spec, bundle_.indices[k]);
+      const double wall_seconds = std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - start)
+                                      .count();
+      block.rows.push_back(to_csv_row(record));
+      // Cost feedback for the next plan's scheduler; keyed on the bundle's
+      // spec (identical to the planner's), not the warm-resume copy.
+      block.costs.push_back(
+          cost_line(bundle_.specs[k], record.cycles(), wall_seconds));
+    }
+    return block;
+  }
+
+  std::size_t warm_resumed = 0;  ///< runs resumed from shipped WarmStates
+
+ private:
+  const Registry* registry_;
+  WorkOptions options_;
+  std::optional<Engine> engine_;
+  ShardBundle bundle_;
+};
+
+}  // namespace
+
 WorkReport work_spool(const std::string& dir, const Registry& registry,
                       const WorkOptions& options) {
   FsTransport transport(dir);
@@ -597,103 +523,11 @@ WorkReport work_spool(const std::string& dir, const Registry& registry,
 WorkReport work_spool_transport(SpoolTransport& transport,
                                 const Registry& registry,
                                 const WorkOptions& options) {
-  const SpoolManifest manifest =
-      parse_spool_manifest_text(transport.manifest_text(),
-                               transport.describe());
-  const std::string worker =
-      options.worker_id.empty() ? std::to_string(::getpid())
-                                : options.worker_id;
-
-  if (options.resume) transport.adopt_orphans();
-
-  if (!options.record_dir.empty()) fs::create_directories(options.record_dir);
-
-  EngineOptions engine_options;
-  if (options.ring_stride != 0) {
-    // Checkpoint rings live next to the spool, so they need one: a remote
-    // transport has no shared directory to keep them in.
-    if (transport.local_dir().empty()) {
-      throw std::runtime_error(
-          "checkpoint rings need a filesystem spool "
-          "(drop --ring-stride when working over --connect)");
-    }
-    engine_options.checkpoint_ring.dir = transport.local_dir() + "/rings";
-    engine_options.checkpoint_ring.stride = options.ring_stride;
-    engine_options.checkpoint_ring.keep = options.ring_keep;
-    engine_options.checkpoint_ring.resume = true;
-  }
-  const Engine engine(registry, engine_options);
-
-  WorkReport report;
-  while (options.max_shards == 0 ||
-         report.shards_completed < options.max_shards) {
-    const auto claimed = transport.claim(worker);
-    if (!claimed) break;  // queue drained (or raced dry)
-    if (claimed->kind != "bundle") {
-      throw std::runtime_error("shard " + std::to_string(claimed->id) +
-                               " is not a sweep bundle (campaign spool?)");
-    }
-
-    const ShardBundle bundle = parse_bundle_bytes(
-        claimed->payload,
-        "shard bundle " + std::to_string(claimed->id) + " from " +
-            transport.describe());
-    if (bundle.fingerprint != manifest.fingerprint) {
-      throw std::runtime_error("shard bundle " + std::to_string(bundle.id) +
-                               " does not belong to this spool");
-    }
-
-    std::vector<std::string> rows = claimed->rows;
-    if (rows.size() > bundle.specs.size()) {
-      throw std::runtime_error("partial part of shard " +
-                               std::to_string(bundle.id) +
-                               " has more rows than the shard has specs");
-    }
-    report.rows_reused += rows.size();
-
-    // Rows already present are skipped, not re-run: they are
-    // deterministic, so adopting them is byte-identical and a resumed
-    // spool never repeats finished work.
-    for (std::size_t k = rows.size(); k < bundle.specs.size(); ++k) {
-      transport.heartbeat(bundle.id);
-      RunSpec spec = bundle.specs[k];
-      if (bundle.warm_ref[k] >= 0) {
-        spec.resume_from = bundle.warm_states[
-            static_cast<std::size_t>(bundle.warm_ref[k])];
-        report.warm_resumed += 1;
-      }
-      if (!options.record_dir.empty()) {
-        // Recording forces the run cold and ring-less (bit-identical
-        // rows), so the .evt is the same artifact a scalar recording of
-        // this spec would produce; the global index names it.
-        spec.record_events_to = options.record_dir + "/run-" +
-                                std::to_string(bundle.indices[k]) + ".evt";
-      }
-      const auto start = std::chrono::steady_clock::now();
-      const RunRecord record = engine.run_one(spec, bundle.indices[k]);
-      const double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      const std::string row = to_csv_row(record);
-      transport.append_row(bundle.id, row);
-      // Cost feedback for the next plan's scheduler; keyed on the
-      // bundle's spec (identical to the planner's), not the warm-resume
-      // copy.
-      transport.append_cost(
-          bundle.id, cost_line(bundle.specs[k], record.cycles(), wall_seconds));
-      rows.push_back(row);
-      report.runs_executed += 1;
-    }
-
-    std::string part_text;
-    for (const std::string& row : rows) part_text += row + '\n';
-    transport.complete(bundle.id, fnv1a64({reinterpret_cast<const std::uint8_t*>(
-                                               part_text.data()),
-                                           part_text.size()}));
-    report.shards_completed += 1;
-  }
-  return report;
+  SweepJob job(&registry, options);
+  const DrainReport drained = drain_spool(transport, job, options.worker_id,
+                                          options.resume, options.max_shards);
+  return {drained.shards_completed, drained.rows_executed, drained.rows_reused,
+          job.warm_resumed};
 }
 
 std::string merge_spool(const std::string& dir) {
@@ -702,75 +536,8 @@ std::string merge_spool(const std::string& dir) {
 }
 
 std::string merge_spool_transport(SpoolTransport& transport) {
-  const SpoolManifest manifest =
-      parse_spool_manifest_text(transport.manifest_text(),
-                               transport.describe());
-  std::vector<std::string> rows(manifest.specs);
-  std::vector<bool> filled(manifest.specs, false);
-  for (const SpoolManifest::Row& row : manifest.shards) {
-    const std::string part = transport.part_text(row.id);
-    const ShardBundle bundle = parse_bundle_bytes(
-        transport.fetch_blob(shard_name(row.id) + ".bundle"),
-        "shard bundle " + std::to_string(row.id) + " from " +
-            transport.describe(),
-        /*load_warm_states=*/false);
-    const std::vector<std::string> lines = split_complete_lines(part);
-    if (lines.size() != bundle.indices.size()) {
-      throw std::runtime_error(
-          "cannot merge: part of shard " + std::to_string(row.id) + " has " +
-          std::to_string(lines.size()) + " rows, bundle expects " +
-          std::to_string(bundle.indices.size()));
-    }
-    for (std::size_t k = 0; k < lines.size(); ++k) {
-      const std::uint64_t index = bundle.indices[k];
-      if (index >= rows.size() || filled[index]) {
-        throw std::runtime_error("cannot merge: shard " +
-                                 std::to_string(row.id) +
-                                 " covers an invalid or duplicate spec index");
-      }
-      rows[index] = lines[k];
-      filled[index] = true;
-    }
-  }
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (!filled[i]) {
-      throw std::runtime_error("cannot merge: spec " + std::to_string(i) +
-                               " is covered by no shard");
-    }
-  }
-  std::string out = csv_header() + '\n';
-  for (const std::string& row : rows) out += row + '\n';
-  return out;
-}
-
-SpoolStatus spool_status(const std::string& dir) {
-  const SpoolManifest manifest = parse_spool_manifest(dir);
-  SpoolStatus status;
-  status.fingerprint = manifest.fingerprint;
-  status.specs = manifest.specs;
-  for (const SpoolManifest::Row& row : manifest.shards) {
-    ShardState shard;
-    shard.id = row.id;
-    shard.specs = row.specs;
-    const std::string name = shard_name(row.id);
-    if (fs::exists(dir + "/done/" + name + ".bundle")) {
-      shard.state = "done";
-    } else if (fs::exists(dir + "/claimed/" + name + ".bundle")) {
-      shard.state = "claimed";
-      std::ifstream owner(dir + "/claimed/" + name + ".owner");
-      std::getline(owner, shard.owner);
-    } else if (fs::exists(dir + "/queue/" + name + ".bundle")) {
-      shard.state = "queued";
-    } else {
-      shard.state = "lost";
-    }
-    shard.part_final =
-        fs::exists(dir + "/parts/" + part_name(row.id) + ".csv");
-    shard.partial_rows =
-        complete_lines(dir + "/parts/" + part_name(row.id) + ".partial").size();
-    status.shards.push_back(std::move(shard));
-  }
-  return status;
+  SweepJob job;
+  return merge_spool_rows(transport, job);
 }
 
 }  // namespace ulpsync::scenario

@@ -1,40 +1,21 @@
 #pragma once
 
-/// Cross-process sharded sweeps: the on-disk *work spool*.
+/// Cross-process sharded sweeps: the sweep kind of the work spool
+/// (scenario/spool.h holds the layout and the shared protocol).
 ///
-/// A spool is a directory holding one planned sweep, split into
-/// self-contained shard bundles that independent worker processes claim
-/// and execute:
-///
-///     spool/
-///       MANIFEST                  spool manifest (version, fingerprint,
-///                                 shard table) — written last at plan time
-///       queue/shard-0002.bundle   unclaimed shard bundles
-///       claimed/shard-0002.bundle a worker claimed it (atomic rename)
-///       claimed/shard-0002.owner  informational: who claimed it
-///       done/shard-0002.bundle    shard finished, its part file is final
-///       parts/part-0002.partial   rows appended as the shard's runs finish
-///       parts/part-0002.csv       the shard's finished rows (atomic rename)
-///       rings/run-<index>/        per-run checkpoint rings (work with a
-///                                 ring stride; see checkpoint_ring.h)
-///
-/// A bundle carries its specs *with their global sweep indices* plus one
-/// serialized `WarmState` per identical-prefix group (`warm_group_key`)
-/// captured at plan time, so every worker — in any process, on any machine
-/// sharing the filesystem — resumes the group's shared prefix instead of
-/// re-simulating it. The planner keeps each group on one shard and
-/// balances shards by spec count; planning is fully deterministic.
-///
-/// Claiming is one atomic `rename(queue/X, claimed/X)`: exactly one worker
-/// wins, losers move to the next bundle, and no locks or daemons are
-/// involved. Workers append each finished run's CSV row to the shard's
-/// `.partial` file, so a SIGKILLed worker loses at most the run in flight;
-/// `work` with `resume` re-queues orphaned claims, reuses the complete
-/// rows of their partial files (rows are deterministic, so reuse is
-/// byte-identical), and continues interrupted long runs from their
-/// checkpoint rings. `merge` assembles the parts into one CSV that is
-/// **byte-identical** to `to_csv` of a single-process sweep of the same
-/// specs, no matter how many workers ran, died, or resumed.
+/// A sweep shard's payload is a bundle (`queue/shard-0002.bundle`) that
+/// carries its specs *with their global sweep indices* plus one serialized
+/// `WarmState` per identical-prefix group (`warm_group_key`) captured at
+/// plan time, so every worker — in any process, on any machine sharing the
+/// spool — resumes the group's shared prefix instead of re-simulating it.
+/// The planner keeps each group on one shard and balances shards by spec
+/// count (or by measured cost); planning is fully deterministic. Workers
+/// stream one CSV row and one cost line per finished run; with a ring
+/// stride, long runs also checkpoint into `rings/run-<index>/` and a
+/// resumed worker continues them mid-flight. `merge` assembles the parts
+/// into one CSV that is **byte-identical** to `to_csv` of a single-process
+/// sweep of the same specs, no matter how many workers ran, died, or
+/// resumed.
 
 #include <cstdint>
 #include <map>
@@ -46,11 +27,10 @@
 #include "scenario/engine.h"
 #include "scenario/registry.h"
 #include "scenario/spec.h"
+#include "scenario/spool.h"
 #include "util/wire.h"
 
 namespace ulpsync::scenario {
-
-class SpoolTransport;  // scenario/transport.h
 
 // --- cost model --------------------------------------------------------------
 
@@ -185,6 +165,7 @@ struct WorkReport {
 /// row bytes.
 WorkReport work_spool(const std::string& dir, const Registry& registry,
                       const WorkOptions& options = {});
+/// (See `work_spool`.)
 WorkReport work_spool_transport(SpoolTransport& transport,
                                 const Registry& registry,
                                 const WorkOptions& options = {});
@@ -196,38 +177,9 @@ WorkReport work_spool_transport(SpoolTransport& transport,
 /// The same merge through any transport (a TCP coordinator included).
 [[nodiscard]] std::string merge_spool_transport(SpoolTransport& transport);
 
-/// One shard's observable state, for `spool_status`.
-struct ShardState {
-  unsigned id = 0;
-  std::size_t specs = 0;
-  std::string state;            ///< "queued", "claimed", "done", or "lost"
-  std::string owner;            ///< contents of the `.owner` file, if any
-  bool part_final = false;      ///< the shard's `.csv` part exists
-  std::size_t partial_rows = 0; ///< complete rows in its `.partial` file
-};
-
-/// Spool-level progress summary.
-struct SpoolStatus {
-  std::uint64_t fingerprint = 0;
-  std::size_t specs = 0;
-  std::vector<ShardState> shards;
-
-  /// True when every shard's part file is final (`merge_spool` will work).
-  [[nodiscard]] bool complete() const {
-    for (const ShardState& shard : shards) {
-      if (!shard.part_final) return false;
-    }
-    return true;
-  }
-};
-
-/// Reads the manifest and the shard files' states. Throws
-/// std::runtime_error on a missing or malformed manifest.
-[[nodiscard]] SpoolStatus spool_status(const std::string& dir);
-
-/// One loaded shard bundle (exposed for tests and `status`; workers use
-/// `work_spool`). `warm_ref[i]` indexes `warm_states`, or is negative when
-/// spec `i` runs cold.
+/// One loaded shard bundle (exposed for tests; workers use `work_spool`).
+/// `warm_ref[i]` indexes `warm_states`, or is negative when spec `i` runs
+/// cold.
 struct ShardBundle {
   unsigned id = 0;
   std::uint64_t fingerprint = 0;
@@ -241,8 +193,8 @@ struct ShardBundle {
 /// hash). Throws std::invalid_argument on truncation or corruption and
 /// std::runtime_error when unreadable. `load_warm_states = false` skips
 /// deserializing the shipped snapshots (they can dwarf the spec table) —
-/// what `merge_spool`/`spool_status` use, since they only need indices;
-/// the content hash still validates the whole image either way.
+/// what `merge_spool` uses, since it only needs indices; the content hash
+/// still validates the whole image either way.
 [[nodiscard]] ShardBundle load_bundle(const std::string& path,
                                       bool load_warm_states = true);
 
@@ -252,25 +204,6 @@ struct ShardBundle {
 [[nodiscard]] ShardBundle parse_bundle_bytes(
     std::span<const std::uint8_t> bytes, const std::string& what,
     bool load_warm_states = true);
-
-/// The spool manifest, parsed. Exposed so transports can serve the
-/// manifest as text and workers can parse it wherever it came from.
-struct SpoolManifest {
-  std::uint64_t fingerprint = 0;
-  std::size_t specs = 0;
-  /// One shard-table line: id, spec count, bundle content hash.
-  struct Row {
-    unsigned id = 0;
-    std::size_t specs = 0;
-    std::uint64_t bundle_hash = 0;
-  };
-  std::vector<Row> shards;
-};
-
-/// Parses a sweep-spool manifest from its text. `what` names the spool in
-/// diagnostics. Throws std::runtime_error on a malformed manifest.
-[[nodiscard]] SpoolManifest parse_spool_manifest_text(const std::string& text,
-                                                      const std::string& what);
 
 /// Stable wire encoding of one RunSpec — the codec shard bundles store
 /// specs with, shared with the recorded-run envelope (scenario/replay.h).

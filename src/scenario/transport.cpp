@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,41 +15,13 @@
 #include <utility>
 
 #include "scenario/checkpoint_ring.h"
-#include "scenario/resilience.h"
+#include "util/hash.h"
 
 namespace ulpsync::scenario {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string shard_stem(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "shard-%04u", id);
-  return buffer;
-}
-
-std::string part_stem(unsigned id) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "part-%04u", id);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
-}
-
-std::uint64_t text_fnv(const std::string& text) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(text.data()),
-                  text.size()});
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  write_file_atomic(path, {reinterpret_cast<const std::uint8_t*>(text.data()),
-                           text.size()});
-}
 
 /// Atomic claim: true when this caller renamed the file (and therefore
 /// owns it); false when another worker got there first.
@@ -60,15 +31,11 @@ bool try_rename(const std::string& from, const std::string& to) {
   return !ec;
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// The shard claim extensions a spool can hold: sweep bundles and
-/// campaign fault ranges share the claim lifecycle.
-constexpr const char* kClaimExtensions[2] = {".bundle", ".range"};
+/// The payload extensions a spool can hold: sweep bundles and campaign
+/// fault ranges share the claim lifecycle.
+const std::string kClaimExtensions[2] = {
+    "." + payload_extension(SpoolKind::kSweep),
+    "." + payload_extension(SpoolKind::kCampaign)};
 
 /// Sorted queue/claimed entries with a claimable extension.
 std::vector<std::string> claimable_entries(const std::string& dir) {
@@ -77,7 +44,7 @@ std::vector<std::string> claimable_entries(const std::string& dir) {
   for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
        it.increment(ec)) {
     const std::string ext = it->path().extension().string();
-    for (const char* claimable : kClaimExtensions) {
+    for (const std::string& claimable : kClaimExtensions) {
       if (ext == claimable) names.push_back(it->path().filename().string());
     }
   }
@@ -88,6 +55,33 @@ std::vector<std::string> claimable_entries(const std::string& dir) {
 /// "shard-0007.bundle" -> 7.
 unsigned id_of_entry(const std::string& name) {
   return static_cast<unsigned>(std::strtoul(name.c_str() + 6, nullptr, 10));
+}
+
+/// The text up to and including its last newline: a part file without
+/// the torn trailing row a killed worker may have left.
+std::string complete_prefix(const std::string& text) {
+  return text.substr(0, text.rfind('\n') + 1);
+}
+
+/// Writes all of `text` to a socket; false when the peer is gone.
+bool send_text(int fd, const std::string& text) {
+  std::size_t sent = 0;
+  while (sent < text.size()) {
+    const ssize_t n =
+        ::send(fd, text.data() + sent, text.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Appends the next chunk a socket delivers to `buffer`; false on close.
+bool receive_into(int fd, std::string& buffer) {
+  char chunk[4096];
+  const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+  if (n <= 0) return false;
+  buffer.append(chunk, static_cast<std::size_t>(n));
+  return true;
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
@@ -117,18 +111,6 @@ std::string fixed3(double value) {
 
 }  // namespace
 
-std::vector<std::string> split_complete_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
 // --- filesystem transport ----------------------------------------------------
 
 std::string FsTransport::manifest_text() {
@@ -149,7 +131,7 @@ std::vector<std::uint8_t> FsTransport::fetch_blob(const std::string& name) {
       const std::string path = dir_ + sub + name;
       if (fs::exists(path)) return read_file_bytes(path);
     }
-    throw std::runtime_error("shard bundle " + name + " is missing from " +
+    throw std::runtime_error("shard payload " + name + " is missing from " +
                              dir_);
   }
   throw std::runtime_error("unknown spool artifact '" + name + "'");
@@ -168,14 +150,13 @@ std::optional<ClaimedShard> FsTransport::claim(const std::string& worker_id) {
     write_text_atomic(dir_ + "/claimed/" + stem + ".owner", worker_id + "\n");
     claimed.payload = read_file_bytes(dir_ + "/claimed/" + name);
     const std::string partial_path =
-        dir_ + "/parts/" + part_stem(claimed.id) + ".partial";
+        dir_ + "/parts/" + part_name(claimed.id) + ".partial";
     const std::string partial = read_text_file(partial_path);
-    claimed.rows = split_complete_lines(partial);
+    const std::string adopted = complete_prefix(partial);
+    claimed.rows = split_complete_lines(adopted);
     // A killed worker may have left a torn trailing row in the partial;
     // truncate back to the adopted complete lines so fresh appends never
     // concatenate onto the fragment.
-    std::string adopted;
-    for (const std::string& row : claimed.rows) adopted += row + "\n";
     if (adopted != partial) {
       if (adopted.empty()) {
         std::error_code ec;
@@ -194,7 +175,7 @@ void FsTransport::heartbeat(unsigned id) {
 }
 
 void FsTransport::append_row(unsigned id, const std::string& row) {
-  const std::string partial = dir_ + "/parts/" + part_stem(id) + ".partial";
+  const std::string partial = dir_ + "/parts/" + part_name(id) + ".partial";
   std::ofstream out(partial, std::ios::binary | std::ios::app);
   out << row << '\n' << std::flush;
   if (!out) throw std::runtime_error("cannot append to " + partial);
@@ -205,58 +186,54 @@ void FsTransport::append_cost(unsigned id, const std::string& line) {
   // uniform split, so I/O failures here are deliberately not fatal.
   std::error_code ec;
   fs::create_directories(dir_ + "/costs", ec);
-  std::ofstream out(dir_ + "/costs/" + part_stem(id) + ".cost",
+  std::ofstream out(dir_ + "/costs/" + part_name(id) + ".cost",
                     std::ios::binary | std::ios::app);
   out << line << '\n' << std::flush;
 }
 
 void FsTransport::complete(unsigned id, std::uint64_t part_hash) {
-  const std::string partial = dir_ + "/parts/" + part_stem(id) + ".partial";
-  const std::vector<std::string> rows =
-      split_complete_lines(read_text_file(partial));
-  std::string part_text;
-  for (const std::string& row : rows) part_text += row + '\n';
-  if (text_fnv(part_text) != part_hash) {
+  const std::string partial = dir_ + "/parts/" + part_name(id) + ".partial";
+  const std::string part_text = complete_prefix(read_text_file(partial));
+  if (util::fnv1a64(part_text) != part_hash) {
     throw std::runtime_error("part of shard " + std::to_string(id) +
                              " failed its content hash (truncated upload?)");
   }
-  write_text_atomic(dir_ + "/parts/" + part_stem(id) + ".csv", part_text);
+  write_text_atomic(dir_ + "/parts/" + part_name(id) + ".csv", part_text);
   std::error_code ec;
   fs::remove(partial, ec);
-  const std::string stem = shard_stem(id);
-  for (const char* ext : kClaimExtensions) {
-    const std::string claimed = dir_ + "/claimed/" + stem + ext;
-    if (fs::exists(claimed)) {
-      try_rename(claimed, dir_ + "/done/" + stem + ext);
-    }
-  }
-  fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+  release_claim(id);  // the part is final: the payload moves to done/
 }
 
 std::size_t FsTransport::adopt_orphans() {
-  // Re-queue orphaned claims. A claim whose part became final just never
-  // got its bundle moved (killed between the two renames): finish the
-  // move. Anything else goes back to the queue; its partial rows are
-  // kept for reuse.
   std::size_t requeued = 0;
   for (const std::string& name : claimable_entries(dir_ + "/claimed")) {
-    const unsigned id = id_of_entry(name);
-    const std::string ext = fs::path(name).extension().string();
-    const std::string stem = name.substr(0, name.size() - ext.size());
-    const std::string claimed = dir_ + "/claimed/" + name;
-    std::error_code ec;
-    if (fs::exists(dir_ + "/parts/" + part_stem(id) + ".csv")) {
-      try_rename(claimed, dir_ + "/done/" + name);
-    } else if (try_rename(claimed, dir_ + "/queue/" + name)) {
-      requeued += 1;
-    }
-    fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+    if (release_claim(id_of_entry(name))) requeued += 1;
   }
   return requeued;
 }
 
+bool FsTransport::release_claim(unsigned id) {
+  // With a final part the payload belongs in done/ (this also finishes the
+  // move of a worker killed between its two renames). Otherwise it goes
+  // back to the queue, its partial rows kept for the next claimer, so a
+  // vanished worker costs at most the block in flight.
+  const bool finished =
+      fs::exists(dir_ + "/parts/" + part_name(id) + ".csv");
+  const std::string stem = shard_name(id);
+  bool requeued = false;
+  for (const std::string& ext : kClaimExtensions) {
+    const std::string claimed = dir_ + "/claimed/" + stem + ext;
+    if (!fs::exists(claimed)) continue;
+    const std::string to = dir_ + (finished ? "/done/" : "/queue/") + stem + ext;
+    requeued = try_rename(claimed, to) && !finished;
+  }
+  std::error_code ec;
+  fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+  return requeued;
+}
+
 std::string FsTransport::part_text(unsigned id) {
-  const std::string part = dir_ + "/parts/" + part_stem(id) + ".csv";
+  const std::string part = dir_ + "/parts/" + part_name(id) + ".csv";
   if (!fs::exists(part)) {
     throw std::runtime_error("cannot merge: part of shard " +
                              std::to_string(id) + " is not finished (" + part +
@@ -267,9 +244,8 @@ std::string FsTransport::part_text(unsigned id) {
 
 TransportStatus FsTransport::status() {
   TransportStatus status;
-  status.campaign = is_campaign_spool(dir_);
-  status.spool =
-      status.campaign ? campaign_spool_status(dir_) : spool_status(dir_);
+  status.spool = spool_status(dir_);
+  status.campaign = status.spool.kind == SpoolKind::kCampaign;
   for (const ShardState& shard : status.spool.shards) {
     status.rows_done += shard.part_final ? shard.specs : shard.partial_rows;
     if (shard.state == "queued") status.queue_depth += 1;
@@ -284,7 +260,8 @@ std::string status_json(const TransportStatus& status) {
   out << "{\n";
   out << "  \"kind\": \"" << (status.campaign ? "campaign" : "sweep")
       << "\",\n";
-  out << "  \"fingerprint\": \"" << hex64(status.spool.fingerprint) << "\",\n";
+  out << "  \"fingerprint\": \"" << util::hex64(status.spool.fingerprint)
+      << "\",\n";
   out << "  \"" << (status.campaign ? "faults" : "specs")
       << "\": " << status.spool.specs << ",\n";
   out << "  \"rows_done\": " << status.rows_done << ",\n";
@@ -326,7 +303,7 @@ std::string serialize_transport_status(const TransportStatus& status) {
   std::ostringstream out;
   out << "ulpsync-status v1\n";
   out << "campaign " << (status.campaign ? 1 : 0) << '\n';
-  out << "fingerprint " << hex64(status.spool.fingerprint) << '\n';
+  out << "fingerprint " << util::hex64(status.spool.fingerprint) << '\n';
   out << "specs " << status.spool.specs << '\n';
   out << "rows_done " << status.rows_done << '\n';
   out << "queue_depth " << status.queue_depth << '\n';
@@ -362,6 +339,7 @@ TransportStatus parse_transport_status(const std::string& text) {
       int value = 0;
       fields >> value;
       status.campaign = value != 0;
+      status.spool.kind = value != 0 ? SpoolKind::kCampaign : SpoolKind::kSweep;
     } else if (tag == "fingerprint") {
       std::string hex;
       fields >> hex;
@@ -453,51 +431,31 @@ TcpTransport::~TcpTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void TcpTransport::send_all(const std::string& text) {
-  std::size_t sent = 0;
-  while (sent < text.size()) {
-    const ssize_t n = ::send(fd_, text.data() + sent, text.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      throw std::runtime_error("connection to " + describe_ + " broke");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
 std::string TcpTransport::read_line() {
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      throw std::runtime_error("connection to " + describe_ + " closed");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  std::size_t newline;
+  while ((newline = buffer_.find('\n')) == std::string::npos) receive();
+  std::string line = buffer_.substr(0, newline);
+  buffer_.erase(0, newline + 1);
+  return line;
 }
 
 std::string TcpTransport::read_bytes(std::size_t count) {
-  while (buffer_.size() < count) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      throw std::runtime_error("connection to " + describe_ + " closed");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  while (buffer_.size() < count) receive();
   std::string bytes = buffer_.substr(0, count);
   buffer_.erase(0, count);
   return bytes;
 }
 
+void TcpTransport::receive() {
+  if (!receive_into(fd_, buffer_)) {
+    throw std::runtime_error("connection to " + describe_ + " closed");
+  }
+}
+
 std::string TcpTransport::request(const std::string& line) {
-  send_all(line + "\n");
+  if (!send_text(fd_, line + "\n")) {
+    throw std::runtime_error("connection to " + describe_ + " broke");
+  }
   const std::string reply = read_line();
   if (reply.rfind("ERR ", 0) == 0) {
     throw std::runtime_error(reply.substr(4));
@@ -505,22 +463,22 @@ std::string TcpTransport::request(const std::string& line) {
   return reply;
 }
 
-std::string TcpTransport::manifest_text() {
-  const std::string reply = request("MANIFEST");
+std::string TcpTransport::request_payload(const std::string& line) {
+  const std::string reply = request(line);
   std::size_t length = 0;
   if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed MANIFEST reply from " + describe_);
+    throw std::runtime_error("malformed " + line.substr(0, line.find(' ')) +
+                             " reply from " + describe_);
   }
   return read_bytes(length);
 }
 
+std::string TcpTransport::manifest_text() {
+  return request_payload("MANIFEST");
+}
+
 std::vector<std::uint8_t> TcpTransport::fetch_blob(const std::string& name) {
-  const std::string reply = request("BLOB " + name);
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed BLOB reply from " + describe_);
-  }
-  const std::string bytes = read_bytes(length);
+  const std::string bytes = request_payload("BLOB " + name);
   return {bytes.begin(), bytes.end()};
 }
 
@@ -549,8 +507,8 @@ void TcpTransport::heartbeat(unsigned id) {
 void TcpTransport::append_row(unsigned id, const std::string& row) {
   // The per-row hash rejects a row truncated or mangled in flight before
   // it can reach the partial part.
-  request("ROW " + std::to_string(id) + " " + hex64(text_fnv(row)) + " " +
-          row);
+  request("ROW " + std::to_string(id) + " " +
+          util::hex64(util::fnv1a64(row)) + " " + row);
 }
 
 void TcpTransport::append_cost(unsigned id, const std::string& line) {
@@ -558,7 +516,7 @@ void TcpTransport::append_cost(unsigned id, const std::string& line) {
 }
 
 void TcpTransport::complete(unsigned id, std::uint64_t part_hash) {
-  request("DONE " + std::to_string(id) + " " + hex64(part_hash));
+  request("DONE " + std::to_string(id) + " " + util::hex64(part_hash));
 }
 
 std::size_t TcpTransport::adopt_orphans() {
@@ -571,21 +529,11 @@ std::size_t TcpTransport::adopt_orphans() {
 }
 
 std::string TcpTransport::part_text(unsigned id) {
-  const std::string reply = request("FINAL " + std::to_string(id));
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed FINAL reply from " + describe_);
-  }
-  return read_bytes(length);
+  return request_payload("FINAL " + std::to_string(id));
 }
 
 TransportStatus TcpTransport::status() {
-  const std::string reply = request("STATUS");
-  std::size_t length = 0;
-  if (std::sscanf(reply.c_str(), "OK %zu", &length) != 1) {
-    throw std::runtime_error("malformed STATUS reply from " + describe_);
-  }
-  return parse_transport_status(read_bytes(length));
+  return parse_transport_status(request_payload("STATUS"));
 }
 
 // --- coordinator -------------------------------------------------------------
@@ -615,7 +563,8 @@ void SpoolServer::start() {
   socklen_t addr_len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ =
+      std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 void SpoolServer::stop() {
@@ -640,9 +589,9 @@ void SpoolServer::stop() {
   }
 }
 
-void SpoolServer::accept_loop() {
+void SpoolServer::accept_loop(int listen_fd) {
   while (!stopping_) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_) break;
       continue;  // transient accept failure (EINTR)
@@ -659,29 +608,13 @@ void SpoolServer::accept_loop() {
 
 void SpoolServer::serve_connection(int fd) {
   std::string buffer;
-  const auto send_text = [fd](const std::string& text) {
-    std::size_t sent = 0;
-    while (sent < text.size()) {
-      const ssize_t n = ::send(fd, text.data() + sent, text.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
   for (;;) {
     // Frame one request line.
     std::size_t newline;
     while ((newline = buffer.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        release_connection(fd);
-        ::close(fd);
-        return;
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      if (!receive_into(fd, buffer)) break;
     }
+    if (newline == std::string::npos) break;  // the peer hung up
     const std::string line = buffer.substr(0, newline);
     buffer.erase(0, newline + 1);
 
@@ -693,12 +626,10 @@ void SpoolServer::serve_connection(int fd) {
       reply = std::string("ERR ") + error.what();
       payload.clear();
     }
-    if (!send_text(reply + "\n" + payload)) {
-      release_connection(fd);
-      ::close(fd);
-      return;
-    }
+    if (!send_text(fd, reply + "\n" + payload)) break;
   }
+  release_connection(fd);
+  ::close(fd);
 }
 
 std::string SpoolServer::handle(int fd, const std::string& line,
@@ -757,7 +688,7 @@ std::string SpoolServer::handle(int fd, const std::string& line,
       std::string hex;
       fields >> hex;
       const std::string row = rest_of_line();
-      if (text_fnv(row) != std::strtoull(hex.c_str(), nullptr, 16)) {
+      if (util::fnv1a64(row) != std::strtoull(hex.c_str(), nullptr, 16)) {
         throw std::runtime_error("row for shard " + std::to_string(id) +
                                  " failed its content hash");
       }
@@ -819,20 +750,7 @@ void SpoolServer::requeue_expired_locked() {
 }
 
 void SpoolServer::requeue_locked(unsigned id) {
-  const std::string stem = shard_stem(id);
-  std::error_code ec;
-  for (const char* ext : kClaimExtensions) {
-    const std::string claimed = dir_ + "/claimed/" + stem + ext;
-    if (!fs::exists(claimed)) continue;
-    if (fs::exists(dir_ + "/parts/" + part_stem(id) + ".csv")) {
-      try_rename(claimed, dir_ + "/done/" + stem + ext);
-    } else {
-      // The partial part stays: the next claimer adopts its complete
-      // rows, so a vanished worker costs at most the run in flight.
-      try_rename(claimed, dir_ + "/queue/" + stem + ext);
-    }
-  }
-  fs::remove(dir_ + "/claimed/" + stem + ".owner", ec);
+  (void)fs_.release_claim(id);
   leases_.erase(id);
 }
 

@@ -50,7 +50,7 @@
 #include <thread>
 #include <vector>
 
-#include "scenario/shard.h"
+#include "scenario/spool.h"
 
 namespace ulpsync::scenario {
 
@@ -100,8 +100,8 @@ class SpoolTransport {
   /// The spool MANIFEST text (sweep or campaign — callers dispatch on the
   /// header line).
   [[nodiscard]] virtual std::string manifest_text() = 0;
-  /// A named spool artifact: "shard-XXXX.bundle" (wherever it sits in the
-  /// claim lifecycle) or "campaign.bin".
+  /// A named spool artifact: a shard payload such as "shard-XXXX.bundle"
+  /// (wherever it sits in the claim lifecycle) or "campaign.bin".
   [[nodiscard]] virtual std::vector<std::uint8_t> fetch_blob(
       const std::string& name) = 0;
 
@@ -133,11 +133,6 @@ class SpoolTransport {
   [[nodiscard]] virtual TransportStatus status() = 0;
 };
 
-/// Splits text into its complete (newline-terminated) lines; a torn
-/// trailing fragment is dropped — the spool's torn-row rule.
-[[nodiscard]] std::vector<std::string> split_complete_lines(
-    const std::string& text);
-
 /// The status schema as JSON — one machine-readable shape for both
 /// transports (`sweep_shard status --json` and the serve endpoint).
 [[nodiscard]] std::string status_json(const TransportStatus& status);
@@ -162,7 +157,8 @@ class FsTransport final : public SpoolTransport {
   [[nodiscard]] std::string local_dir() const override { return dir_; }
   /// Reads `<dir>/MANIFEST`; throws when the spool was never planned.
   [[nodiscard]] std::string manifest_text() override;
-  /// Reads a bundle (wherever it sits in the lifecycle) or campaign.bin.
+  /// Reads a shard payload (wherever it sits in the lifecycle) or
+  /// campaign.bin.
   [[nodiscard]] std::vector<std::uint8_t> fetch_blob(
       const std::string& name) override;
   /// One atomic `rename(queue/X, claimed/X)`; adopts the partial's
@@ -180,6 +176,9 @@ class FsTransport final : public SpoolTransport {
   void complete(unsigned id, std::uint64_t part_hash) override;
   /// Re-queues claimed shards whose part never became final.
   std::size_t adopt_orphans() override;
+  /// Releases shard `id`'s claim: to `done/` when its part is final, else
+  /// back to the queue with its partial rows kept. True when re-queued.
+  bool release_claim(unsigned id);
   /// Reads the final `.csv` part; throws when the shard is unfinished.
   [[nodiscard]] std::string part_text(unsigned id) override;
   /// Scans the directory (sweep or campaign spool alike).
@@ -232,9 +231,12 @@ class TcpTransport final : public SpoolTransport {
  private:
   /// Sends one request line, reads the reply line; throws on ERR.
   std::string request(const std::string& line);
+  /// `request` for the replies that carry `OK <len>` plus that many bytes.
+  std::string request_payload(const std::string& line);
   std::string read_line();
   std::string read_bytes(std::size_t count);
-  void send_all(const std::string& text);
+  /// Reads the next chunk from the socket into `buffer_`; throws on close.
+  void receive();
 
   int fd_ = -1;
   std::string describe_;
@@ -294,7 +296,9 @@ class SpoolServer {
     std::chrono::steady_clock::time_point last_row;
   };
 
-  void accept_loop();
+  /// Accepts on `listen_fd` (a copy: stop() resets the member) until
+  /// stopped.
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
   /// Handles one request line; returns the reply (ERR included). The
   /// `payload` out-param carries binary reply bytes appended after the

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/hash.h"
+
 namespace ulpsync::sim {
 
 namespace {
@@ -412,13 +414,7 @@ Snapshot Snapshot::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t Snapshot::content_hash() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return util::fnv1a64(serialize());
 }
 
 // --- Platform capture/restore ----------------------------------------------

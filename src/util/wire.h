@@ -1,17 +1,22 @@
 #pragma once
 
-/// Minimal explicit-little-endian wire primitives shared by the scenario
-/// layer's on-disk formats (checkpoint rings, sharded-sweep spools). The
-/// writer is append-only; the reader is bounds-checked and throws
-/// std::invalid_argument on truncation, so corrupted images can never read
-/// out of range. `sim/snapshot.cpp` keeps its own private copy — its wire
-/// format is frozen and golden-tested independently of this header.
+/// Minimal explicit-little-endian wire primitives shared by the on-disk
+/// formats (event schedules, recorded runs, checkpoint rings, spool
+/// bundles, campaign images). The writer is append-only; the reader is
+/// bounds-checked and throws std::invalid_argument on truncation, so
+/// corrupted images can never read out of range. `Frame` is the one
+/// magic + version + body + trailing-hash envelope those formats share.
+/// `sim/snapshot.cpp` keeps its own private copy of the primitives — its
+/// wire format is frozen and golden-tested independently of this header.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/hash.h"
 
 namespace ulpsync::util {
 
@@ -106,6 +111,53 @@ class WireReader {
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
+};
+
+/// A framed image: 8-byte magic, u32 version, body, then the FNV-1a 64 of
+/// everything before the hash.
+struct Frame {
+  std::array<std::uint8_t, 8> magic;
+  std::uint32_t version;
+
+  /// A writer holding the magic and version, ready for the body.
+  [[nodiscard]] WireWriter begin() const {
+    WireWriter w;
+    for (const std::uint8_t byte : magic) w.u8(byte);
+    w.u32(version);
+    return w;
+  }
+
+  /// Appends the trailing hash to a `begin()` writer; returns the image.
+  [[nodiscard]] static std::vector<std::uint8_t> seal(WireWriter& w) {
+    w.u64(fnv1a64(w.bytes()));
+    return w.take();
+  }
+
+  /// Validates an image in the order size, trailing hash, magic, version
+  /// (so corruption reports as corruption, not as a field error) and
+  /// returns a reader over the body. Throws std::invalid_argument with a
+  /// message prefixed by `what`.
+  [[nodiscard]] WireReader open(std::span<const std::uint8_t> bytes,
+                                const std::string& what) const {
+    if (bytes.size() < magic.size() + 4 + 8) {
+      throw std::invalid_argument(what + ": truncated image");
+    }
+    const std::span<const std::uint8_t> payload = bytes.first(bytes.size() - 8);
+    if (WireReader(bytes.last(8)).u64() != fnv1a64(payload)) {
+      throw std::invalid_argument(what +
+                                  ": content hash mismatch (corrupt image)");
+    }
+    WireReader r(payload);
+    for (const std::uint8_t byte : magic) {
+      if (r.u8() != byte) throw std::invalid_argument(what + ": bad magic");
+    }
+    const std::uint32_t found = r.u32();
+    if (found != version) {
+      throw std::invalid_argument(what + ": unsupported version " +
+                                  std::to_string(found));
+    }
+    return r;
+  }
 };
 
 }  // namespace ulpsync::util

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
+#include "scenario/batch.h"
 #include "scenario/engine.h"
 #include "scenario/matrix.h"
 #include "scenario/record.h"
@@ -16,6 +18,13 @@
 
 namespace ulpsync::scenario {
 namespace {
+
+// Engines keep a pointer to their registry: binding a temporary one (as
+// `Engine(Registry::with_builtins())` would) must not compile.
+static_assert(!std::is_constructible_v<Engine, Registry>);
+static_assert(!std::is_constructible_v<BatchEngine, Registry>);
+static_assert(std::is_constructible_v<Engine, const Registry&>);
+static_assert(std::is_constructible_v<BatchEngine, const Registry&>);
 
 WorkloadParams small_params() {
   WorkloadParams params;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "scenario/resilience.h"
 #include "scenario/shard.h"
 #include "scenario/transport.h"
+#include "util/hash.h"
 
 namespace ulpsync::scenario {
 namespace {
@@ -475,6 +477,285 @@ TEST(Transport, StatusRoundTripsAndRendersJson) {
   EXPECT_NE(json.find("\"complete\": false"), std::string::npos);
   EXPECT_NE(json.find("\"eta_seconds\": null"), std::string::npos);
   EXPECT_NE(json.find("\"owner\": \"status-worker\""), std::string::npos);
+}
+
+// --- one spool protocol, two payload kinds ----------------------------------
+
+/// The small sleepgen recording the campaign-kind tests replay.
+const RecordedRun& campaign_recording() {
+  static const RecordedRun run = [] {
+    RunSpec spec;
+    spec.workload = "sleepgen";
+    spec.params.samples = 12;
+    spec.max_cycles = 3'000'000;
+    spec.design = DesignVariant::synchronized();
+    RecordOutcome outcome = record_one(spec, Registry::builtins());
+    EXPECT_TRUE(outcome.record.ok()) << outcome.record.verify_error;
+    return std::move(outcome.recorded);
+  }();
+  return run;
+}
+
+CampaignConfig campaign_config(unsigned count) {
+  CampaignConfig config;
+  config.models = {ErrorModel::kDmSingle, ErrorModel::kIm};
+  config.count = count;
+  config.seed = 7;
+  return config;
+}
+
+/// One spool kind, driven through its public entry points.
+struct KindCase {
+  std::string name;
+  std::string extension;
+  std::function<void(const std::string& dir, unsigned shards)> plan;
+  std::function<void(const std::string& dir)> work;
+  std::function<std::string(const std::string& dir)> merge;
+  std::string expected;  ///< the single-process CSV
+};
+
+std::vector<KindCase> both_kinds() {
+  const std::vector<RunSpec> specs = small_sweep_specs();
+  KindCase sweep{
+      "sweep", ".bundle",
+      [specs](const std::string& dir, unsigned shards) {
+        plan_spool(dir, specs, Registry::builtins(), {.shards = shards});
+      },
+      [](const std::string& dir) {
+        (void)work_spool(dir, Registry::builtins());
+      },
+      [](const std::string& dir) { return merge_spool(dir); },
+      single_process_csv(specs)};
+  KindCase campaign{
+      "campaign", ".range",
+      [](const std::string& dir, unsigned shards) {
+        plan_campaign_spool(dir, campaign_recording(), campaign_config(2),
+                            Registry::builtins(), {.shards = shards});
+      },
+      [](const std::string& dir) {
+        (void)work_campaign_spool(dir, Registry::builtins());
+      },
+      [](const std::string& dir) { return merge_campaign_spool(dir); },
+      campaign_csv(run_campaign(campaign_recording(), Registry::builtins(),
+                                campaign_config(2), 1))};
+  return {sweep, campaign};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+void swap_files(const std::string& a, const std::string& b) {
+  const auto bytes_a = read_file_bytes(a);
+  write_bytes(a, read_file_bytes(b));
+  write_bytes(b, bytes_a);
+}
+
+/// Complete rows appended to any partial part of the spool.
+std::size_t partial_rows(const std::string& dir) {
+  std::size_t rows = 0;
+  for (const ShardState& shard : spool_status(dir).shards) {
+    rows += shard.partial_rows;
+  }
+  return rows;
+}
+
+TEST(SpoolProtocol, SwappedPayloadsAreRejectedBeforeAnyRow) {
+  // Two equal-size shards whose payloads trade places: each payload still
+  // parses and belongs to the spool, but names the other shard. Filing
+  // its rows under the embedded id would leave a claim stranded and merge
+  // rows at the wrong indices; the drain refuses before appending a row.
+  for (const KindCase& kind : both_kinds()) {
+    const std::string dir = scratch_dir("swap_work_" + kind.name);
+    kind.plan(dir, 2);
+    swap_files(dir + "/queue/shard-0000" + kind.extension,
+               dir + "/queue/shard-0001" + kind.extension);
+    EXPECT_THROW(kind.work(dir), std::runtime_error) << kind.name;
+    EXPECT_EQ(partial_rows(dir), 0u) << kind.name;
+    EXPECT_THROW((void)kind.merge(dir), std::runtime_error) << kind.name;
+  }
+}
+
+TEST(SpoolProtocol, MergeRejectsSwappedFinishedPayloads) {
+  for (const KindCase& kind : both_kinds()) {
+    const std::string dir = scratch_dir("swap_merge_" + kind.name);
+    kind.plan(dir, 2);
+    kind.work(dir);
+    ASSERT_EQ(kind.merge(dir), kind.expected) << kind.name;
+    swap_files(dir + "/done/shard-0000" + kind.extension,
+               dir + "/done/shard-0001" + kind.extension);
+    EXPECT_THROW((void)kind.merge(dir), std::runtime_error) << kind.name;
+  }
+}
+
+TEST(SpoolProtocol, StatusTracksLifecycleForBothKinds) {
+  for (const KindCase& kind : both_kinds()) {
+    const std::string dir = scratch_dir("lifecycle_" + kind.name);
+    kind.plan(dir, 2);
+    SpoolStatus status = spool_status(dir);
+    EXPECT_EQ(status.kind == SpoolKind::kCampaign, kind.name == "campaign");
+    EXPECT_EQ(status.specs, 4u) << kind.name;
+    ASSERT_EQ(status.shards.size(), 2u) << kind.name;
+    for (const ShardState& shard : status.shards) {
+      EXPECT_EQ(shard.state, "queued") << kind.name;
+      EXPECT_FALSE(shard.part_final) << kind.name;
+    }
+    EXPECT_FALSE(status.complete());
+    EXPECT_THROW((void)kind.merge(dir), std::runtime_error) << kind.name;
+
+    kind.work(dir);
+    status = spool_status(dir);
+    for (const ShardState& shard : status.shards) {
+      EXPECT_EQ(shard.state, "done") << kind.name;
+      EXPECT_TRUE(shard.part_final) << kind.name;
+    }
+    EXPECT_TRUE(status.complete()) << kind.name;
+    EXPECT_EQ(kind.merge(dir), kind.expected) << kind.name;
+  }
+}
+
+TEST(SpoolProtocol, CorruptPayloadIsRejectedForBothKinds) {
+  for (const KindCase& kind : both_kinds()) {
+    const std::string probe = scratch_dir("corrupt_probe_" + kind.name);
+    kind.plan(probe, 1);
+    const auto bytes =
+        read_file_bytes(probe + "/queue/shard-0000" + kind.extension);
+    std::vector<std::vector<std::uint8_t>> corrupt;
+    corrupt.emplace_back(bytes.begin(), bytes.begin() + bytes.size() / 2);
+    for (const std::size_t at : {std::size_t{3}, bytes.size() / 2,
+                                 bytes.size() - 2}) {
+      corrupt.push_back(bytes);
+      corrupt.back()[at] ^= 0x40;
+    }
+    for (std::size_t i = 0; i < corrupt.size(); ++i) {
+      const std::string dir =
+          scratch_dir("corrupt_" + kind.name + std::to_string(i));
+      kind.plan(dir, 1);
+      write_bytes(dir + "/queue/shard-0000" + kind.extension, corrupt[i]);
+      EXPECT_ANY_THROW(kind.work(dir)) << kind.name << " #" << i;
+      EXPECT_EQ(partial_rows(dir), 0u) << kind.name << " #" << i;
+    }
+  }
+}
+
+TEST(SpoolProtocol, CorruptManifestIsRejectedForBothKinds) {
+  for (const KindCase& kind : both_kinds()) {
+    const std::string dir = scratch_dir("bad_manifest_" + kind.name);
+    kind.plan(dir, 2);
+    const auto manifest = read_file_bytes(dir + "/MANIFEST");
+    for (const std::string& text :
+         {std::string("not a spool\n"),
+          std::string(manifest.begin(), manifest.begin() + manifest.size() / 3),
+          std::string(manifest.begin(), manifest.end()) + "shard x y z\n"}) {
+      std::ofstream(dir + "/MANIFEST", std::ios::trunc) << text;
+      EXPECT_THROW((void)spool_status(dir), std::runtime_error) << kind.name;
+      EXPECT_THROW(kind.work(dir), std::runtime_error) << kind.name;
+      EXPECT_THROW((void)kind.merge(dir), std::runtime_error) << kind.name;
+    }
+  }
+}
+
+/// A transport decorator that logs the per-shard calls a worker makes.
+class RecordingTransport final : public SpoolTransport {
+ public:
+  explicit RecordingTransport(SpoolTransport& inner) : inner_(inner) {}
+
+  std::vector<std::string> calls;
+
+  [[nodiscard]] std::string describe() const override {
+    return inner_.describe();
+  }
+  [[nodiscard]] std::string manifest_text() override {
+    return inner_.manifest_text();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> fetch_blob(
+      const std::string& name) override {
+    return inner_.fetch_blob(name);
+  }
+  [[nodiscard]] std::optional<ClaimedShard> claim(
+      const std::string& worker_id) override {
+    auto claimed = inner_.claim(worker_id);
+    if (claimed) calls.push_back("claim " + std::to_string(claimed->id));
+    return claimed;
+  }
+  void heartbeat(unsigned id) override {
+    calls.push_back("heartbeat " + std::to_string(id));
+    inner_.heartbeat(id);
+  }
+  void append_row(unsigned id, const std::string& row) override {
+    calls.push_back("row " + std::to_string(id));
+    inner_.append_row(id, row);
+  }
+  void append_cost(unsigned id, const std::string& line) override {
+    calls.push_back("cost " + std::to_string(id));
+    inner_.append_cost(id, line);
+  }
+  void complete(unsigned id, std::uint64_t part_hash) override {
+    calls.push_back("complete " + std::to_string(id) + " " +
+                    util::hex64(part_hash));
+    inner_.complete(id, part_hash);
+  }
+  std::size_t adopt_orphans() override { return inner_.adopt_orphans(); }
+  [[nodiscard]] std::string part_text(unsigned id) override {
+    return inner_.part_text(id);
+  }
+  [[nodiscard]] TransportStatus status() override { return inner_.status(); }
+
+ private:
+  SpoolTransport& inner_;
+};
+
+/// The `complete` entry the drain must send: the final part's FNV-1a64.
+std::string complete_call(const std::string& dir, unsigned id) {
+  FsTransport transport(dir);
+  return "complete " + std::to_string(id) + " " +
+         util::hex64(hash_text(transport.part_text(id)));
+}
+
+TEST(SpoolProtocol, SweepDrainSendsHeartbeatRowCostPerRun) {
+  const std::string dir = scratch_dir("calls_sweep");
+  plan_spool(dir, small_sweep_specs(), Registry::builtins(), {.shards = 2});
+  FsTransport fs_transport(dir);
+  RecordingTransport recorder(fs_transport);
+  (void)work_spool_transport(recorder, Registry::builtins(), {});
+
+  std::vector<std::string> expected;
+  for (const ShardState& shard : spool_status(dir).shards) {
+    expected.push_back("claim " + std::to_string(shard.id));
+    for (std::size_t run = 0; run < shard.specs; ++run) {
+      for (const char* call : {"heartbeat ", "row ", "cost "}) {
+        expected.push_back(call + std::to_string(shard.id));
+      }
+    }
+    expected.push_back(complete_call(dir, shard.id));
+  }
+  EXPECT_EQ(recorder.calls, expected);
+}
+
+TEST(SpoolProtocol, CampaignDrainSendsOneHeartbeatPerBlock) {
+  // Ten faults on one shard, two trial threads: blocks of max(jobs, 1) * 4
+  // = 8 rows, each opened by one heartbeat, no cost lines.
+  const std::string dir = scratch_dir("calls_campaign");
+  plan_campaign_spool(dir, campaign_recording(), campaign_config(5),
+                      Registry::builtins(), {.shards = 1});
+  FsTransport fs_transport(dir);
+  RecordingTransport recorder(fs_transport);
+  (void)work_campaign_transport(recorder, Registry::builtins(), {.jobs = 2});
+
+  std::vector<std::string> expected = {"claim 0"};
+  for (const std::size_t block : {8u, 2u}) {
+    expected.push_back("heartbeat 0");
+    expected.insert(expected.end(), block, "row 0");
+  }
+  expected.push_back(complete_call(dir, 0));
+  EXPECT_EQ(recorder.calls, expected);
+  EXPECT_EQ(merge_campaign_spool(dir),
+            campaign_csv(run_campaign(campaign_recording(),
+                                      Registry::builtins(), campaign_config(5),
+                                      1)));
 }
 
 }  // namespace

@@ -29,16 +29,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 
 #include "core/lockstep.h"
+#include "scenario/checkpoint_ring.h"
 #include "scenario/registry.h"
 #include "scenario/replay.h"
 #include "sim/platform.h"
 #include "sim/snapshot.h"
 #include "util/cli.h"
+#include "util/hash.h"
 
 namespace {
 
@@ -153,15 +153,7 @@ bool has_extension(const std::string& path, const std::string& ext) {
 /// frontier CSVs) are pinned; wire images hash their parsed content
 /// instead, which validates the image on the way.
 std::uint64_t raw_file_hash(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  char c;
-  while (in.get(c)) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return util::fnv1a64(scenario::read_file_bytes(path));
 }
 
 int cmd_hash(const util::CliArgs& args) {
