@@ -220,9 +220,6 @@ int main(int argc, char** argv) {
       << "  \"warmup_wall_seconds\": " << warm.perf.warmup_wall_seconds << ",\n"
       << "  \"warmup_saved_seconds\": " << warm.perf.warmup_saved_seconds << ",\n"
       << "  \"speedup\": " << speedup << ",\n"
-      // Per-mode rows keyed on "mode": bench_compare.py hard-fails when a
-      // baseline row goes missing from a fresh run, so neither sweep leg
-      // can silently drop out of the gate.
       << "  \"runs\": [\n"
       << "    {\"mode\": \"cold\", \"wall_seconds\": " << cold.perf.wall_seconds
       << ", \"sim_cycles\": " << cold.perf.sim_cycles << "},\n"

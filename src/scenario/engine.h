@@ -187,8 +187,8 @@ class Engine {
   }
 
   /// Like `run`, but also reports the sweep's wall-clock timing — total
-  /// and per-record — and honours `EngineOptions::budget`. This is the
-  /// entry point of the perf harness (`bench/perf_throughput`).
+  /// and per-record — and honours `EngineOptions::budget`. The repository
+  /// benchmark (perfbench/README.md) times sweeps through this entry point.
   [[nodiscard]] SweepResult run_timed(const std::vector<RunSpec>& specs) const;
 
   /// Runs `spec`'s setup (program + inputs) and simulates to `cycle`,

@@ -112,7 +112,11 @@ RunSpec decode_run_spec(util::WireReader& r) {
   spec.design.features.dxbar_pc_policy = r.boolean();
   spec.design.features.ixbar_partial_broadcast = r.boolean();
   if (r.boolean()) {
-    spec.arbitration = static_cast<sim::ArbitrationPolicy>(r.u8());
+    const std::uint8_t arbitration = r.u8();
+    if (arbitration > static_cast<std::uint8_t>(sim::ArbitrationPolicy::kRoundRobin)) {
+      throw std::invalid_argument("run spec: bad arbitration policy");
+    }
+    spec.arbitration = static_cast<sim::ArbitrationPolicy>(arbitration);
   }
   if (r.boolean()) spec.im_line_slots = r.u32();
   if (r.boolean()) spec.fast_forward = r.boolean();
@@ -406,11 +410,10 @@ ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
   bundle.fingerprint = r.u64();
   bundle.id = r.u32();
   const std::uint32_t count = r.u32();
+  std::vector<std::uint32_t> refs;
   for (std::uint32_t i = 0; i < count; ++i) {
     bundle.indices.push_back(r.u64());
-    const std::uint32_t ref = r.u32();
-    bundle.warm_ref.push_back(ref == kNoWarmRef ? -1
-                                                : static_cast<std::int32_t>(ref));
+    refs.push_back(r.u32());
     bundle.specs.push_back(decode_run_spec(r));
   }
   const std::uint32_t warm_count = r.u32();
@@ -421,11 +424,13 @@ ShardBundle parse_bundle_bytes(std::span<const std::uint8_t> bytes,
           std::make_shared<WarmState>(deserialize_warm_state(blob)));
     }
   }
-  for (const std::int32_t ref : bundle.warm_ref) {
-    if (ref >= static_cast<std::int32_t>(warm_count)) {
+  for (const std::uint32_t ref : refs) {
+    if (ref != kNoWarmRef && ref >= warm_count) {
       throw std::invalid_argument(what +
                                   ": warm-state reference out of range");
     }
+    bundle.warm_ref.push_back(ref == kNoWarmRef ? -1
+                                                : static_cast<std::int32_t>(ref));
   }
   return bundle;
 }

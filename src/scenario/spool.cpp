@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "scenario/transport.h"
 #include "util/hash.h"
@@ -28,8 +29,8 @@ struct KindInfo {
 
 const KindInfo& info(SpoolKind kind) {
   static constexpr KindInfo kKinds[] = {
-      {"sweep", "ulpsync-spool v1", "specs", "bundle"},
-      {"campaign", "ulpsync-campaign-spool v1", "faults", "range"},
+      {"sweep", "ulpsync-spool v2", "specs", "bundle"},
+      {"campaign", "ulpsync-campaign-spool v2", "faults", "range"},
   };
   return kKinds[static_cast<std::size_t>(kind)];
 }
@@ -90,6 +91,11 @@ ShardPayload checked_payload(IndexedRowJob& job, const SpoolManifest& manifest,
   return shard;
 }
 
+/// The manifest's last line: the FNV-1a 64 of every byte before it.
+std::string check_line(std::string_view body) {
+  return "check " + util::hex64(util::fnv1a64(body)) + "\n";
+}
+
 }  // namespace
 
 std::string payload_extension(SpoolKind kind) { return info(kind).extension; }
@@ -132,7 +138,18 @@ std::optional<SpoolKind> manifest_kind(const std::string& text) {
 
 SpoolManifest parse_spool_manifest_text(const std::string& text,
                                         const std::string& what) {
-  std::istringstream in(text);
+  // The check line catches a torn or bit-flipped manifest before any field
+  // is read: no such mutant can parse to a different, plausible spool.
+  const std::size_t end =
+      text.size() < 2 ? std::string::npos : text.rfind('\n', text.size() - 2);
+  const std::size_t body = end == std::string::npos ? 0 : end + 1;
+  if (body == 0 ||
+      text.compare(body, std::string::npos,
+                   check_line(std::string_view(text).substr(0, body))) != 0) {
+    throw std::runtime_error("spool manifest in " + what +
+                             " is torn or corrupt (check line mismatch)");
+  }
+  std::istringstream in(text.substr(0, body));
   std::string line;
   std::getline(in, line);
   const std::optional<SpoolKind> kind = manifest_kind(line);
@@ -195,7 +212,8 @@ std::string spool_manifest_text(const SpoolManifest& manifest) {
       out << row.begin << ' ' << row.begin + row.specs << '\n';
     }
   }
-  return out.str();
+  const std::string body = out.str();
+  return body + check_line(body);
 }
 
 // --- plan --------------------------------------------------------------------

@@ -5,8 +5,9 @@
 /// fault campaigns (scenario/resilience.h) alike.
 ///
 ///     spool/
-///       MANIFEST                  kind header, fingerprint, row count and
-///                                 shard table — written last at plan time
+///       MANIFEST                  kind header, fingerprint, row count,
+///                                 shard table and a check line (FNV-1a 64
+///                                 of the rest) — written last at plan time
 ///       queue/shard-0002.<ext>    unclaimed shard payloads
 ///       claimed/shard-0002.<ext>  a worker claimed it (atomic rename)
 ///       claimed/shard-0002.owner  informational: who claimed it

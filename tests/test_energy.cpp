@@ -196,6 +196,19 @@ TEST(DesignSearchGolden, MrpfltrFrontierReproducesCommittedBytes) {
   EXPECT_TRUE(knee.candidate.design.features.hardware_synchronizer);
   EXPECT_EQ(knee.candidate.im_line_slots, 16u);
   EXPECT_GE(knee.mops, 16.0);
+
+  // The search's own accounting is as deterministic as its frontier.
+  EXPECT_EQ(result.candidates, 12u);
+  EXPECT_EQ(result.specs_executed, 122u);
+  EXPECT_EQ(result.warm_resumed, 104u);
+  ASSERT_EQ(result.rungs.size(), 3u);
+  const RungStats expected[] = {{8000, 72, 25}, {32000, 25, 25},
+                                {500000000, 25, 21}};
+  for (std::size_t r = 0; r < result.rungs.size(); ++r) {
+    EXPECT_EQ(result.rungs[r].points_in, expected[r].points_in) << "rung " << r;
+    EXPECT_EQ(result.rungs[r].survivors, expected[r].survivors) << "rung " << r;
+    EXPECT_EQ(result.rungs[r].horizon, expected[r].horizon) << "rung " << r;
+  }
 }
 
 TEST(DesignSearchGolden, Sqrt32FrontierReproducesCommittedBytes) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -756,6 +757,216 @@ TEST(SpoolProtocol, CampaignDrainSendsOneHeartbeatPerBlock) {
             campaign_csv(run_campaign(campaign_recording(),
                                       Registry::builtins(), campaign_config(5),
                                       1)));
+}
+
+// --- hostile input -----------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// Feeds every truncation and every single-bit flip of `original` to
+/// `decode`, which renders what it decoded as text. Each mutant must either
+/// decode to the original's rendering (`exact`) or at least decode
+/// (`!exact`), or throw one std::exception whose what() is a single line.
+template <typename Decode>
+void expect_mutants_handled(const Bytes& original, Decode decode,
+                            const std::string& name, bool exact = true) {
+  const std::string expected = decode(original);
+  const auto check = [&](const Bytes& mutant, const std::string& label) {
+    try {
+      const std::string got = decode(mutant);
+      if (exact) EXPECT_EQ(got, expected) << name << ": " << label;
+    } catch (const std::exception& error) {
+      const std::string what = error.what();
+      EXPECT_TRUE(!what.empty() && what.find_first_of("\r\n") == std::string::npos)
+          << name << ": " << label << ": " << what;
+    }
+  };
+  for (std::size_t size = 0; size < original.size(); ++size) {
+    check(Bytes(original.begin(), original.begin() + static_cast<std::ptrdiff_t>(size)),
+          "truncated to " + std::to_string(size));
+  }
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      Bytes mutant = original;
+      mutant[i] ^= static_cast<std::uint8_t>(1u << bit);
+      check(mutant, "bit " + std::to_string(bit) + " of byte " + std::to_string(i));
+    }
+  }
+}
+
+/// A framed image with its trailing hash replaced by a valid one for `body`.
+Bytes resealed(const Bytes& body) {
+  util::WireWriter w;
+  for (const std::uint8_t byte : body) w.u8(byte);
+  return util::Frame::seal(w);
+}
+
+/// The same over a framed image's body: each mutant is resealed, so the
+/// decoder's own field checks are what stand between a forged image and a
+/// wrong decode.
+template <typename Decode>
+void expect_resealed_mutants_handled(const Bytes& image, Decode decode,
+                                     const std::string& name) {
+  expect_mutants_handled(
+      Bytes(image.begin(), image.end() - 8),
+      [&](const Bytes& body) { return decode(resealed(body)); },
+      name + " (resealed)", /*exact=*/false);
+}
+
+std::string bytes_text(const Bytes& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// A rendering of everything a bundle decodes to. A bundle that decodes must
+/// be well formed: no spec's enum out of range, no warm-state reference to
+/// a state the bundle does not ship.
+std::string render_bundle(const Bytes& bytes) {
+  const ShardBundle bundle = parse_bundle_bytes(bytes, "bundle");
+  util::WireWriter w;
+  w.u64(bundle.fingerprint);
+  w.u32(bundle.id);
+  for (std::size_t i = 0; i < bundle.specs.size(); ++i) {
+    const std::int32_t ref = bundle.warm_ref[i];
+    EXPECT_TRUE(ref >= -1 &&
+                ref < static_cast<std::int32_t>(bundle.warm_states.size()))
+        << "decoded bundle holds a dangling warm reference " << ref;
+    EXPECT_TRUE(!bundle.specs[i].arbitration ||
+                *bundle.specs[i].arbitration <= sim::ArbitrationPolicy::kRoundRobin)
+        << "decoded bundle holds an invalid arbitration";
+    w.u64(bundle.indices[i]);
+    w.u32(static_cast<std::uint32_t>(ref));
+    encode_run_spec(w, bundle.specs[i]);
+  }
+  for (const auto& state : bundle.warm_states) w.blob(serialize_warm_state(*state));
+  return bytes_text(w.take());
+}
+
+std::string render_campaign(const Bytes& bytes) {
+  const PlannedCampaign planned = parse_planned_campaign(bytes, "campaign");
+  return util::hex64(planned.fingerprint) + " " +
+         util::hex64(campaign_fingerprint(planned.config, planned.run)) + " " +
+         bytes_text(planned.run.serialize());
+}
+
+TEST(HostileInput, FrameRejectsEveryTruncationAndBitFlip) {
+  constexpr util::Frame kFrame{{'U', 'L', 'P', 'T', 'E', 'S', 'T', '\n'}, 3};
+  util::WireWriter w = kFrame.begin();
+  w.u64(0x0123456789abcdefull);
+  w.str("hostile");
+  w.blob(Bytes{1, 2, 3});
+  w.boolean(true);
+  expect_mutants_handled(
+      util::Frame::seal(w),
+      [&](const Bytes& bytes) {
+        util::WireReader r = kFrame.open(bytes, "frame");
+        std::string out = util::hex64(r.u64());
+        out += " " + r.str();
+        out += " " + bytes_text(r.blob());
+        out += r.boolean() ? " true" : " false";
+        if (!r.at_end()) throw std::invalid_argument("frame: trailing bytes");
+        return out;
+      },
+      "frame");
+}
+
+TEST(HostileInput, ShardBundleRejectsEveryTruncationAndBitFlip) {
+  // Two specs sharing a warm prefix, so the bundle ships a warm state.
+  std::vector<RunSpec> specs = small_sweep_specs();
+  specs.resize(3);
+  specs[1].params.samples = specs[2].params.samples = 8;
+  specs[1].checkpoint_at = specs[2].checkpoint_at = 2'000;
+  specs[2].max_cycles = 1'500'000;
+  specs[1].arbitration = specs[2].arbitration =
+      sim::ArbitrationPolicy::kRoundRobin;
+  const std::string dir = scratch_dir("hostile_bundle");
+  plan_spool(dir, specs, Registry::builtins(), {.shards = 1});
+  const Bytes bundle = read_file_bytes(dir + "/queue/shard-0000.bundle");
+  ASSERT_EQ(parse_bundle_bytes(bundle, "bundle").warm_states.size(), 1u);
+  expect_mutants_handled(bundle, render_bundle, "bundle");
+  expect_resealed_mutants_handled(bundle, render_bundle, "bundle");
+}
+
+TEST(HostileInput, BundleRejectsWarmReferenceWithSignBitSet) {
+  const std::string dir = scratch_dir("hostile_warm_ref");
+  plan_spool(dir, {small_sweep_specs()[0]}, Registry::builtins(), {.shards = 1});
+  const Bytes bundle = read_file_bytes(dir + "/queue/shard-0000.bundle");
+  ASSERT_EQ(parse_bundle_bytes(bundle, "bundle").warm_ref.front(), -1);
+  // A reference with its sign bit set is out of range, not "run cold". The
+  // first spec's reference follows the header, fingerprint, shard id, count
+  // and index.
+  for (const std::uint32_t ref : {0u, 0x80000000u, 0xFFFFFFFEu}) {
+    Bytes body(bundle.begin(), bundle.end() - 8);
+    for (unsigned k = 0; k < 4; ++k) body[36 + k] = static_cast<std::uint8_t>(ref >> (8 * k));
+    EXPECT_THROW((void)parse_bundle_bytes(resealed(body), "bundle"),
+                 std::invalid_argument)
+        << ref;
+  }
+}
+
+TEST(HostileInput, RunSpecRejectsOutOfRangeArbitration) {
+  RunSpec spec = small_sweep_specs()[0];
+  spec.arbitration = sim::ArbitrationPolicy::kFixedPriority;
+  util::WireWriter fixed;
+  encode_run_spec(fixed, spec);
+  spec.arbitration = sim::ArbitrationPolicy::kRoundRobin;
+  util::WireWriter round_robin;
+  encode_run_spec(round_robin, spec);
+  Bytes bytes = round_robin.take();
+  // The one byte that differs is the policy; one past kRoundRobin names no
+  // policy.
+  *std::mismatch(bytes.begin(), bytes.end(), fixed.bytes().begin()).first = 3;
+  util::WireReader forged(bytes);
+  EXPECT_THROW((void)decode_run_spec(forged), std::invalid_argument);
+}
+
+TEST(HostileInput, CampaignImageRejectsEveryTruncationAndBitFlip) {
+  // The smallest recording a campaign accepts keeps the quadratic sweep
+  // (every mutant re-hashes the whole image) fast under the sanitizers.
+  RunSpec spec;
+  spec.workload = "sqrt32";
+  spec.params.samples = 4;
+  spec.max_cycles = 2'000'000;
+  spec.design = DesignVariant::synchronized();
+  RecordOutcome outcome = record_one(spec, Registry::builtins());
+  ASSERT_TRUE(outcome.record.ok()) << outcome.record.verify_error;
+  const std::string dir = scratch_dir("hostile_campaign");
+  plan_campaign_spool(dir, outcome.recorded, campaign_config(2),
+                      Registry::builtins(), {.shards = 2});
+  const Bytes image = read_file_bytes(dir + "/campaign.bin");
+  expect_mutants_handled(image, render_campaign, "campaign image");
+  expect_resealed_mutants_handled(image, render_campaign, "campaign image");
+}
+
+TEST(HostileInput, ManifestRejectsDroppedRowAndFlippedHashDigit) {
+  // Without a checksum both would parse: a manifest torn after a complete
+  // row loses its last shard, and a flipped hex digit names another bundle.
+  const std::string dir = scratch_dir("hostile_manifest_rows");
+  plan_spool(dir, small_sweep_specs(), Registry::builtins(), {.shards = 2});
+  const std::string text = bytes_text(read_file_bytes(dir + "/MANIFEST"));
+  const std::size_t last_row = text.rfind("shard 1 ");
+  ASSERT_NE(last_row, std::string::npos);
+  std::string flipped = text;
+  char& digit = flipped[text.find('\n', last_row) - 1];
+  digit = digit == '0' ? '1' : '0';
+  for (const std::string& bad : {text.substr(0, last_row), flipped}) {
+    EXPECT_THROW((void)parse_spool_manifest_text(bad, "manifest"),
+                 std::runtime_error);
+  }
+  EXPECT_EQ(parse_spool_manifest_text(text, "manifest").shards.size(), 2u);
+}
+
+TEST(HostileInput, ManifestRejectsEveryTruncationAndBitFlip) {
+  for (const KindCase& kind : both_kinds()) {
+    const std::string dir = scratch_dir("hostile_manifest_" + kind.name);
+    kind.plan(dir, 3);
+    expect_mutants_handled(
+        read_file_bytes(dir + "/MANIFEST"),
+        [](const Bytes& bytes) {
+          return spool_manifest_text(
+              parse_spool_manifest_text(bytes_text(bytes), "manifest"));
+        },
+        kind.name + " manifest");
+  }
 }
 
 }  // namespace

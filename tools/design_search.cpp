@@ -1,7 +1,7 @@
 // design_search: energy-first Pareto-frontier search over the platform
 // design space (scenario/design_search.h).
 //
-//   design_search --out FILE [--bench FILE] [options]
+//   design_search --out FILE [options]
 //
 // Runs a successive-halving search over cores × banking × arbitration ×
 // design × operating clock, writes the deterministic frontier CSV to
@@ -23,20 +23,15 @@
 //   --target-mops X     knee throughput target        (default 16)
 //   --cap N             per-rung survivor cap; 0 off  (default 32)
 //   --jobs N            engine threads (never changes the frontier)
-//   --bench FILE        write a bench_compare JSON (bench "design_search"):
-//                       headline point_evals_per_second, one gated row per
-//                       rung plus the frontier-size row
 
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenario/cli.h"
 #include "scenario/design_search.h"
-#include "scenario/record.h"
 #include "scenario/registry.h"
 #include "util/cli.h"
 
@@ -51,7 +46,6 @@ cli::FlagTable flag_table() {
       "energy-first Pareto-frontier search over the design space",
       {
           {"out", "FILE", "frontier CSV destination (required)"},
-          {"bench", "FILE", "bench_compare JSON (bench \"design_search\")"},
           {"workload", "W", "registry name (default mrpfltr)"},
           {"samples", "N", "samples per channel (default 48)"},
           {"designs", "WHICH", "both|synchronized|baseline (default both)"},
@@ -105,41 +99,6 @@ SearchOptions options_from_flags(const util::CliArgs& args) {
   return options;
 }
 
-/// bench_compare JSON: the headline is wall-derived (host-speed gated),
-/// the rows are deterministic search counts — one per rung plus the
-/// frontier size, so a frontier-shape change trips the row gate.
-std::string bench_json(const SearchOptions& options,
-                       const SearchResult& result) {
-  std::ostringstream out;
-  const double evals_per_second =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(result.specs_executed) / result.wall_seconds
-          : 0.0;
-  out << "{\n";
-  out << "  \"bench\": \"design_search\",\n";
-  out << "  \"workload\": \"" << options.workload << "\",\n";
-  out << "  \"candidates\": " << result.candidates << ",\n";
-  out << "  \"specs_executed\": " << result.specs_executed << ",\n";
-  out << "  \"frontier_size\": " << result.frontier.size() << ",\n";
-  out << "  \"warm_resumed\": " << result.warm_resumed << ",\n";
-  out << "  \"wall_seconds\": " << format_double(result.wall_seconds) << ",\n";
-  out << "  \"point_evals_per_second\": " << format_double(evals_per_second)
-      << ",\n";
-  out << "  \"runs\": [\n";
-  for (std::size_t r = 0; r < result.rungs.size(); ++r) {
-    const RungStats& stats = result.rungs[r];
-    out << "    {\"stage\": \"rung" << r << "\", \"points\": "
-        << stats.points_in << ", \"survivors\": " << stats.survivors
-        << ", \"horizon\": " << stats.horizon << "},\n";
-  }
-  out << "    {\"stage\": \"frontier\", \"points\": " << result.frontier.size()
-      << ", \"survivors\": " << result.frontier.size()
-      << ", \"horizon\": 0}\n";
-  out << "  ]\n";
-  out << "}\n";
-  return out.str();
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
@@ -167,12 +126,6 @@ int main(int argc, char** argv) {
 
     if (!write_file(out_path, frontier_csv(options.workload, result))) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    const std::string bench_path = args.get("bench", "");
-    if (!bench_path.empty() &&
-        !write_file(bench_path, bench_json(options, result))) {
-      std::fprintf(stderr, "cannot write %s\n", bench_path.c_str());
       return 1;
     }
 

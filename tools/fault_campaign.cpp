@@ -5,7 +5,7 @@
 // fault into a replayed copy of the run, classifies the outcomes, and
 // writes the campaign CSV plus an optional aggregated resilience report.
 //
-//   fault_campaign --out FILE [--report FILE] [--bench FILE]
+//   fault_campaign --out FILE [--report FILE]
 //                  [--workload NAME] [--samples N]
 //                  [--design auto|synchronized|baseline|xbar]
 //                  [--max-cycles N] [--evt FILE]
@@ -46,12 +46,9 @@
 // localized; --require-classified N likewise for rows whose outcome is
 // masked/detected/sdc/localized/undecodable-image — the CI smoke gates.
 
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,7 +69,6 @@ cli::FlagTable flag_table() {
       {
           {"out", "FILE", "campaign CSV destination (required)"},
           {"report", "FILE", "aggregated resilience report CSV"},
-          {"bench", "FILE", "benchmark JSON (faults/sec + outcome counts)"},
           {"jobs", "N", "trial threads (default 0 = all host cores)"},
           {"require-localized", "N", "exit nonzero unless >= N localized"},
           {"require-classified", "N", "exit nonzero unless >= N classified"},
@@ -89,39 +85,6 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (!out) throw std::runtime_error("cannot write " + path);
 }
 
-/// Benchmark JSON: headline faults/sec plus exact per-(model, outcome)
-/// counts — the deterministic rows the bench_compare `fault_campaign`
-/// profile gates exactly.
-std::string bench_json(const std::vector<FaultTrialRow>& rows,
-                       double wall_seconds) {
-  std::map<std::pair<std::string, std::string>, std::size_t> counts;
-  for (const FaultTrialRow& row : rows) {
-    counts[{error_model_name(row.fault.model), row.outcome}] += 1;
-  }
-  const double rate =
-      wall_seconds > 0.0 ? static_cast<double>(rows.size()) / wall_seconds
-                         : 0.0;
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"bench\": \"fault_campaign\",\n";
-  out << "  \"faults\": " << rows.size() << ",\n";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", wall_seconds);
-  out << "  \"wall_seconds\": " << buffer << ",\n";
-  std::snprintf(buffer, sizeof(buffer), "%.3f", rate);
-  out << "  \"faults_per_second\": " << buffer << ",\n";
-  out << "  \"runs\": [\n";
-  bool first = true;
-  for (const auto& [key, count] : counts) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"model\": \"" << key.first << "\", \"outcome\": \""
-        << key.second << "\", \"count\": " << count << "}";
-  }
-  out << "\n  ]\n}\n";
-  return out.str();
-}
-
 int run_tool(const util::CliArgs& args) {
   const cli::FlagTable table = flag_table();
   if (args.has("help")) {
@@ -136,22 +99,14 @@ int run_tool(const util::CliArgs& args) {
   const CampaignConfig config = campaign_config_from_flags(args);
   const unsigned jobs = cli::jobs_from_flags(args, 0);
 
-  const auto start = std::chrono::steady_clock::now();
   const std::vector<FaultTrialRow> rows =
       run_campaign(run, registry, config, jobs);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
 
   write_text_file(out_path, campaign_csv(rows));
 
   const ResilienceReport report = aggregate_resilience(rows);
   const std::string report_path = args.get("report", "");
   if (!report_path.empty()) write_text_file(report_path, report.to_csv());
-  const std::string bench_path = args.get("bench", "");
-  if (!bench_path.empty()) {
-    write_text_file(bench_path, bench_json(rows, wall_seconds));
-  }
 
   std::size_t localized = 0;
   std::size_t classified = 0;
